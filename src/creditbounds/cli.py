@@ -24,11 +24,9 @@ from pathlib import Path
 
 from . import __version__
 from .portfolio import ConfigError, DeterministicLgd, Scenario, load_scenario
-from .profiles import curve_table
+from .profiles import MODELS, curve_table
 from .risk import ResultInvariantError, bound_profiles, risk_report
 from .simulate import dkw_epsilon, exact_loss_distribution, simulate_losses, sup_cdf_distance
-
-_ORACLE_MAX_N = 20
 
 
 def _add_common(parser: argparse.ArgumentParser, needs_out: bool) -> None:
@@ -70,7 +68,9 @@ def _config_hash(scenario: Scenario) -> str:
             "label": scenario.label,
             "models": scenario.models,
             "alphas": scenario.alphas,
-            "mc": dataclasses.asdict(scenario.mc),
+            # worker count never changes results
+            "mc": {"samples": scenario.mc.samples, "seed": scenario.mc.seed},
+            "point_copulas": [repr(c) for c in scenario.point_copulas or ()],
             "borrowers": [
                 (b.name, b.pd, b.exposure_weight, repr(b.lgd), b.corr_interval, b.corr_point)
                 for b in scenario.borrowers
@@ -115,55 +115,23 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _point_profiles(model: str, scenario: Scenario):
-    from .profiles import (
-        ComonotoneProfile,
-        IndependentProfile,
-        clayton_profile,
-        gaussian_profile,
-        profile_from_copula,
-        survival_clayton_profile,
-    )
-
-    out = []
-    for i, b in enumerate(scenario.borrowers):
-        if model == "gaussian":
-            out.append(gaussian_profile(b.corr_point, b.pd))
-        elif model == "clayton":
-            out.append(clayton_profile(b.theta_point, b.pd))
-        elif model == "survival_clayton":
-            out.append(survival_clayton_profile(b.theta_point, b.pd))
-        elif model == "gauss_clayton":
-            # the hybrid has no single point model; report its Gaussian generator
-            out.append(gaussian_profile(b.corr_point, b.pd))
-        elif model == "independent":
-            out.append(IndependentProfile(b.pd))
-        elif model == "comonotone":
-            out.append(ComonotoneProfile(b.pd))
-        else:  # single_point
-            out.append(profile_from_copula(scenario.point_copulas[i], b.pd))
-    return out
-
-
 def cmd_curves(args) -> int:
     scenario = _resolve_scenario(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for model in scenario.models:
+        spec = MODELS[model]
+        copulas = scenario.point_copulas if spec.per_copula else [None] * len(scenario.borrowers)
         lowers, uppers = bound_profiles(model, scenario.borrowers, scenario.point_copulas)
-        points = _point_profiles(model, scenario)
         lines = ["borrower,s,g_lower,g_point,g_upper,pd_lower,pd_point,pd_upper"]
         seen = set()
-        for i, (b, lo, pt, up) in enumerate(zip(scenario.borrowers, lowers, points, uppers)):
-            if model == "single_point":
-                key = (b.pd, repr(scenario.point_copulas[i]))
-            else:
-                key = (b.pd, b.corr_interval, b.corr_point)
+        for b, c, lo, up in zip(scenario.borrowers, copulas, lowers, uppers):
+            key = spec.key(b, c)
             if key in seen:
                 continue
             seen.add(key)
             s, g_lo, p_lo = curve_table(lo)
-            _, g_pt, p_pt = curve_table(pt)
+            _, g_pt, p_pt = curve_table(spec.point(b, c))
             _, g_up, p_up = curve_table(up)
             for row in zip(s, g_lo, g_pt, g_up, p_lo, p_pt, p_up):
                 lines.append(b.name + "," + ",".join(repr(float(v)) for v in row))
@@ -201,11 +169,6 @@ def cmd_validate(args) -> int:
 
 def cmd_oracle(args) -> int:
     scenario = _resolve_scenario(args)
-    n = len(scenario.borrowers)
-    if n > _ORACLE_MAX_N:
-        raise ConfigError(f"oracle check supports at most {_ORACLE_MAX_N} borrowers, got {n}")
-    if not all(isinstance(b.lgd, DeterministicLgd) for b in scenario.borrowers):
-        raise ConfigError("oracle check requires deterministic LGD for every borrower")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -217,7 +180,10 @@ def cmd_oracle(args) -> int:
         if any(l.group_key() != u.group_key() for l, u in zip(lowers, uppers)):
             sides.append(("upper", uppers))
         for j, (side, profiles) in enumerate(sides):
-            exact = exact_loss_distribution(profiles, scenario.borrowers, args.quad_nodes)
+            try:
+                exact = exact_loss_distribution(profiles, scenario.borrowers, args.quad_nodes)
+            except ValueError as exc:
+                raise ConfigError(f"oracle check: {exc}") from None
             mc = simulate_losses(
                 profiles,
                 scenario.borrowers,

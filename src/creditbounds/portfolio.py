@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .copulas import clayton_theta_matching_gaussian
+from .profiles import MODELS, model_spec
 
 __all__ = [
     "ConfigError",
@@ -45,15 +46,7 @@ __all__ = [
     "scenario_from_dict",
 ]
 
-MODEL_NAMES = (
-    "gaussian",
-    "clayton",
-    "survival_clayton",
-    "gauss_clayton",
-    "independent",
-    "comonotone",
-    "single_point",
-)
+MODEL_NAMES = tuple(MODELS)
 
 DEFAULT_IRB_BOUNDS = (0.12, 0.24)
 DEFAULT_CORR_SHIFT = 0.05
@@ -375,14 +368,13 @@ class Scenario:
         if not self.borrowers:
             raise ValueError("scenario needs at least one borrower")
         for m in self.models:
-            if m not in MODEL_NAMES:
-                raise ValueError(f"unknown model {m!r}; expected one of {MODEL_NAMES}")
+            if model_spec(m).per_copula and (
+                self.point_copulas is None or len(self.point_copulas) != len(self.borrowers)
+            ):
+                raise ValueError(f"{m!r} model needs one copula per borrower")
         for a in self.alphas:
             if not (0.0 < a < 1.0):
                 raise ValueError(f"confidence levels must lie in (0, 1), got {a}")
-        if "single_point" in self.models:
-            if self.point_copulas is None or len(self.point_copulas) != len(self.borrowers):
-                raise ValueError("'single_point' model needs one copula per borrower")
 
 
 def _lgd_from_dict(obj: dict, where: str):

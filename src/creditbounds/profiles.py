@@ -20,6 +20,7 @@ import math
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +44,9 @@ __all__ = [
     "check_membership",
     "validate_profile",
     "curve_table",
+    "ModelSpec",
+    "MODELS",
+    "model_spec",
     "PROFILE_GRID_N",
 ]
 
@@ -507,3 +511,77 @@ def curve_table(profile, grid_n: int = PROFILE_GRID_N):
     t = np.clip(s, 1e-12, 1.0 - 1e-12)
     p = np.clip(profile._cpd(t), 0.0, 1.0)
     return s, g, p
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """How one model family turns a borrower into default profiles.
+
+    ``point`` builds the family's point profile and ``interval`` its
+    (lower, upper) bound profiles, both from a borrower and its point copula.
+    Families without an interval have one member, which is both bounds.
+    ``per_copula`` families read the borrower's point copula instead of its
+    correlations.
+    """
+
+    label: str
+    point: Callable
+    interval: Callable | None = None
+    per_copula: bool = False
+
+    def bounds(self, borrower, copula=None) -> tuple:
+        if self.interval is None:
+            p = self.point(borrower, copula)
+            return p, p
+        return self.interval(borrower, copula)
+
+    def key(self, borrower, copula=None) -> tuple:
+        """Borrowers with equal keys get identical profiles."""
+        if self.per_copula:
+            return (borrower.pd, repr(copula))
+        return (borrower.pd, borrower.corr_interval, borrower.corr_point)
+
+
+def _gauss_clayton_bounds(b, copula):
+    env = envelope([gaussian_profile(b.corr_point, b.pd), clayton_profile(b.theta_point, b.pd)])
+    return env.lower, env.upper
+
+
+# an interval lists (lower, upper): the low dependence parameter gives the
+# pointwise-max G (least risky), the high one the pointwise min
+MODELS = {
+    "gaussian": ModelSpec(
+        "Gaussian",
+        lambda b, c: gaussian_profile(b.corr_point, b.pd),
+        lambda b, c: tuple(gaussian_profile(r, b.pd) for r in b.corr_interval),
+    ),
+    "clayton": ModelSpec(
+        "Clayton",
+        lambda b, c: clayton_profile(b.theta_point, b.pd),
+        lambda b, c: tuple(clayton_profile(th, b.pd) for th in b.theta_interval),
+    ),
+    "survival_clayton": ModelSpec(
+        "Surv. Clayton",
+        lambda b, c: survival_clayton_profile(b.theta_point, b.pd),
+        lambda b, c: tuple(survival_clayton_profile(th, b.pd) for th in b.theta_interval),
+    ),
+    # the hybrid has no single point model; its point is the Gaussian generator
+    "gauss_clayton": ModelSpec(
+        "Gauss-Clayton",
+        lambda b, c: gaussian_profile(b.corr_point, b.pd),
+        _gauss_clayton_bounds,
+    ),
+    "independent": ModelSpec("Independent", lambda b, c: IndependentProfile(b.pd)),
+    "comonotone": ModelSpec("Comonotone", lambda b, c: ComonotoneProfile(b.pd)),
+    "single_point": ModelSpec(
+        "Point", lambda b, c: profile_from_copula(c, b.pd), per_copula=True
+    ),
+}
+
+
+def model_spec(name: str) -> ModelSpec:
+    """The registered model family called ``name``."""
+    try:
+        return MODELS[name]
+    except KeyError:
+        raise ValueError(f"unknown model {name!r}; expected one of {tuple(MODELS)}") from None

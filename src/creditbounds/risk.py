@@ -16,6 +16,7 @@ Simulation seeds derive from the scenario seed plus the run index
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from io import StringIO
@@ -23,15 +24,7 @@ from io import StringIO
 import numpy as np
 
 from .portfolio import Scenario
-from .profiles import (
-    ComonotoneProfile,
-    IndependentProfile,
-    clayton_profile,
-    envelope,
-    gaussian_profile,
-    profile_from_copula,
-    survival_clayton_profile,
-)
+from .profiles import MODELS, model_spec
 from .simulate import (
     LossSample,
     batch_standard_error,
@@ -52,17 +45,6 @@ __all__ = [
     "BenchmarkRow",
     "RiskReport",
 ]
-
-MODEL_LABELS = {
-    "gaussian": "Gaussian",
-    "clayton": "Clayton",
-    "survival_clayton": "Surv. Clayton",
-    "gauss_clayton": "Gauss-Clayton",
-    "independent": "Independent",
-    "comonotone": "Comonotone",
-    "single_point": "Point",
-}
-
 
 class ResultInvariantError(RuntimeError):
     """A computed report violates the ordering chain beyond tolerance."""
@@ -182,49 +164,14 @@ def bound_profiles(model: str, borrowers, point_copulas=None):
     Gaussian and Clayton point models, which generally requires the convex
     repair of the pointwise min.
     """
+    spec = model_spec(model)
+    copulas = point_copulas if spec.per_copula else [None] * len(borrowers)
     cache: dict = {}
     lowers, uppers = [], []
-    for i, b in enumerate(borrowers):
-        if model == "single_point":
-            key = (model, b.pd, repr(point_copulas[i]))
-        else:
-            key = (model, b.pd, b.corr_interval, b.corr_point)
+    for b, c in zip(borrowers, copulas):
+        key = spec.key(b, c)
         if key not in cache:
-            if model == "gaussian":
-                pair = (
-                    gaussian_profile(b.corr_interval[0], b.pd),
-                    gaussian_profile(b.corr_interval[1], b.pd),
-                )
-            elif model == "clayton":
-                pair = (
-                    clayton_profile(b.theta_interval[0], b.pd),
-                    clayton_profile(b.theta_interval[1], b.pd),
-                )
-            elif model == "survival_clayton":
-                pair = (
-                    survival_clayton_profile(b.theta_interval[0], b.pd),
-                    survival_clayton_profile(b.theta_interval[1], b.pd),
-                )
-            elif model == "gauss_clayton":
-                env = envelope(
-                    [
-                        gaussian_profile(b.corr_point, b.pd),
-                        clayton_profile(b.theta_point, b.pd),
-                    ]
-                )
-                pair = (env.lower, env.upper)
-            elif model == "independent":
-                p = IndependentProfile(b.pd)
-                pair = (p, p)
-            elif model == "comonotone":
-                p = ComonotoneProfile(b.pd)
-                pair = (p, p)
-            elif model == "single_point":
-                p = profile_from_copula(point_copulas[i], b.pd)
-                pair = (p, p)
-            else:
-                raise ValueError(f"unknown model {model!r}")
-            cache[key] = pair
+            cache[key] = spec.bounds(b, c)
         lo, up = cache[key]
         lowers.append(lo)
         uppers.append(up)
@@ -268,7 +215,7 @@ class RiskReport:
 
     def row(self, model: str, alpha: float) -> BoundRow:
         for r in self.rows:
-            if r.model == model and r.alpha == alpha:
+            if (r.model, r.alpha) == (model, alpha):
                 return r
         raise KeyError((model, alpha))
 
@@ -280,18 +227,16 @@ class RiskReport:
 
     def to_csv(self) -> str:
         out = StringIO()
-        out.write(
-            "scenario,model,alpha,avar_lower,avar_upper,avar_indep,avar_comon,"
-            "se_lower,se_upper,se_indep,se_comon\n"
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(
+            ["scenario", "model", "alpha", "avar_lower", "avar_upper", "avar_indep",
+             "avar_comon", "se_lower", "se_upper", "se_indep", "se_comon"]
         )
         for r in self.rows:
             bench = self.benchmark(r.alpha)
-            out.write(
-                f"{self.scenario_label},{r.model},{r.alpha!r},"
-                f"{r.avar_lower!r},{r.avar_upper!r},"
-                f"{bench.avar_indep!r},{bench.avar_comon!r},"
-                f"{r.se_lower!r},{r.se_upper!r},{bench.se_indep!r},{bench.se_comon!r}\n"
-            )
+            values = (r.alpha, r.avar_lower, r.avar_upper, bench.avar_indep, bench.avar_comon,
+                      r.se_lower, r.se_upper, bench.se_indep, bench.se_comon)
+            writer.writerow([self.scenario_label, r.model, *map(repr, values)])
         return out.getvalue()
 
     def to_text(self) -> str:
@@ -306,7 +251,7 @@ class RiskReport:
         header1 = f"{'':>8}"
         header2 = f"{'alpha':>8}"
         for m in self.models:
-            header1 += f"{MODEL_LABELS.get(m, m):>22}"
+            header1 += f"{MODELS[m].label:>22}"
             header2 += f"{'lower':>11}{'upper':>11}"
         header1 += f"{'':>22}"
         header2 += f"{'indep':>11}{'comon':>11}"

@@ -82,22 +82,19 @@ class _Group:
     weight: float
     pd: float
     lgd: object
-    profile: object  # None for the benchmark generators
+    profile: object
 
 
-def _pool(borrowers, profiles=None):
+def _pool(borrowers, profiles):
     keyed = {}
-    order = []
-    for i, b in enumerate(borrowers):
-        p = profiles[i] if profiles is not None else None
-        key = (p.group_key() if p is not None else None, b.lgd, b.exposure_weight, b.pd)
+    for b, p in zip(borrowers, profiles):
+        key = (p.group_key(), b.lgd, b.exposure_weight, b.pd)
         if key not in keyed:
             keyed[key] = [0, b, p]
-            order.append(key)
         keyed[key][0] += 1
     return [
         _Group(n=c, weight=b.exposure_weight, pd=b.pd, lgd=b.lgd, profile=p)
-        for c, b, p in (keyed[k] for k in order)
+        for c, b, p in keyed.values()
     ]
 
 
@@ -151,7 +148,12 @@ def _validate_alignment(profiles, borrowers) -> None:
 def simulate_losses(profiles, portfolio, samples: int, seed: int, workers: int = 1) -> LossSample:
     """Factor-driven losses: one factor draw per scenario, conditionally
     independent defaults with each borrower's conditional default
-    probability, iid LGD draws, exposure-weighted aggregation."""
+    probability, iid LGD draws, exposure-weighted aggregation.
+
+    The dependence extremes draw their default counts directly: the
+    generic binomial route is slower for them, and ``binomial(n, 1.0)``
+    would still consume a uniform per scenario.
+    """
     _validate_alignment(profiles, portfolio)
     groups = _pool(portfolio, profiles)
 
@@ -159,8 +161,13 @@ def simulate_losses(profiles, portfolio, samples: int, seed: int, workers: int =
         t = rng.random(m)
         loss = np.zeros(m)
         for grp in groups:
-            p = np.clip(grp.profile._cpd(t), 0.0, 1.0)
-            counts = rng.binomial(grp.n, p)
+            p = grp.profile
+            if isinstance(p, IndependentProfile):
+                counts = rng.binomial(grp.n, p.pd, size=m)
+            elif isinstance(p, ComonotoneProfile):
+                counts = grp.n * (t >= 1.0 - p.pd).astype(np.int64)
+            else:
+                counts = rng.binomial(grp.n, np.clip(p._cpd(t), 0.0, 1.0))
             loss += grp.weight * _lgd_total(rng, grp.lgd, counts)
         return loss
 
@@ -169,31 +176,14 @@ def simulate_losses(profiles, portfolio, samples: int, seed: int, workers: int =
 
 def simulate_independent(portfolio, samples: int, seed: int, workers: int = 1) -> LossSample:
     """Benchmark with unconditionally independent defaults."""
-    groups = _pool(portfolio)
-
-    def chunk(rng, m):
-        loss = np.zeros(m)
-        for grp in groups:
-            counts = rng.binomial(grp.n, grp.pd, size=m)
-            loss += grp.weight * _lgd_total(rng, grp.lgd, counts)
-        return loss
-
-    return _run_chunks(samples, seed, workers, chunk)
+    profiles = [IndependentProfile(b.pd) for b in portfolio]
+    return simulate_losses(profiles, portfolio, samples, seed, workers)
 
 
 def simulate_comonotone(portfolio, samples: int, seed: int, workers: int = 1) -> LossSample:
     """Benchmark with comonotone defaults: one uniform drives all borrowers."""
-    groups = _pool(portfolio)
-
-    def chunk(rng, m):
-        u = rng.random(m)
-        loss = np.zeros(m)
-        for grp in groups:
-            counts = grp.n * (u >= 1.0 - grp.pd).astype(np.int64)
-            loss += grp.weight * _lgd_total(rng, grp.lgd, counts)
-        return loss
-
-    return _run_chunks(samples, seed, workers, chunk)
+    profiles = [ComonotoneProfile(b.pd) for b in portfolio]
+    return simulate_losses(profiles, portfolio, samples, seed, workers)
 
 
 def _merge_support(support: np.ndarray, weights: np.ndarray, tol: float = 1e-12) -> LossSample:
@@ -245,10 +235,7 @@ def _exact_general(groups, quad_nodes: int) -> LossSample:
         tq = t[q0:q0 + batch]
         probs = np.ones((tq.size, 1))
         for grp, size in zip(groups, sizes):
-            if grp.profile is None:
-                p = np.full(tq.size, grp.pd)
-            else:
-                p = np.clip(grp.profile._cpd(tq), 0.0, 1.0)
+            p = np.clip(grp.profile._cpd(tq), 0.0, 1.0)
             pmf = _binom.pmf(np.arange(size)[None, :], size - 1, p[:, None])
             probs = (probs[:, :, None] * pmf[:, None, :]).reshape(tq.size, -1)
         weights += wq[q0:q0 + batch] @ probs
@@ -261,11 +248,10 @@ def exact_loss_distribution(profiles, portfolio, quad_nodes: int = 256) -> LossS
     All-comonotone and all-independent profile sets are handled by exact
     combinatorics; everything else integrates the conditional default
     probabilities over the factor with Gauss-Legendre quadrature and
-    convolves the pooled binomial default counts.  The returned weights sum
-    to one within 1e-12.
+    convolves the pooled binomial default counts, for at most 20 borrowers.
+    The returned weights sum to one within 1e-12.
     """
     _validate_alignment(profiles, portfolio)
-    n = len(portfolio)
     if quad_nodes < 16:
         raise ValueError(f"quad_nodes must be at least 16, got {quad_nodes}")
     if not all(isinstance(b.lgd, DeterministicLgd) for b in portfolio):
@@ -276,8 +262,6 @@ def exact_loss_distribution(profiles, portfolio, quad_nodes: int = 256) -> LossS
     # borrower-count cap; only the factor-quadrature path does
     if all(isinstance(g.profile, ComonotoneProfile) for g in groups):
         return _exact_comonotone(groups)
-    if n > _MAX_EXACT_N and not all(isinstance(g.profile, IndependentProfile) for g in groups):
-        raise ValueError(f"exact distribution supports at most {_MAX_EXACT_N} borrowers, got {n}")
     if all(isinstance(g.profile, IndependentProfile) for g in groups):
         support = np.array([0.0])
         probs = np.ones(1)
@@ -287,6 +271,10 @@ def exact_loss_distribution(profiles, portfolio, quad_nodes: int = 256) -> LossS
             support = (support[:, None] + unit * np.arange(grp.n + 1)[None, :]).ravel()
             probs = (probs[:, None] * pmf[None, :]).ravel()
         sample = _merge_support(support, probs)
+    elif len(portfolio) > _MAX_EXACT_N:
+        raise ValueError(
+            f"exact distribution supports at most {_MAX_EXACT_N} borrowers, got {len(portfolio)}"
+        )
     else:
         sample = _exact_general(groups, quad_nodes)
     total = sample.weights.sum()

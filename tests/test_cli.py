@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from creditbounds.cli import main
+from creditbounds.cli import _config_hash, main
+from creditbounds.portfolio import scenario_from_dict
+from creditbounds.profiles import MODELS
 
 
 def run(capsys, *argv):
@@ -49,6 +51,23 @@ class TestBounds:
         assert code == 0
         meta = json.loads((out / "meta.json").read_text())
         assert meta["samples"] == 20_000 and meta["seed"] == 123
+
+    def test_config_hash_covers_copulas_not_workers(self):
+        doc = {
+            "label": "x",
+            "portfolio": {"kind": "homogeneous", "n": 3, "pd": 0.05,
+                          "lgd": {"kind": "deterministic", "value": 0.5}},
+            "models": ["single_point"],
+            "point_copulas": {"family": "gaussian", "param": 0.3},
+            "mc": {"samples": 100, "seed": 1, "workers": 1},
+        }
+        base = _config_hash(scenario_from_dict(doc))
+        other_copula = json.loads(json.dumps(doc))
+        other_copula["point_copulas"]["param"] = 0.4
+        assert _config_hash(scenario_from_dict(other_copula)) != base
+        more_workers = json.loads(json.dumps(doc))
+        more_workers["mc"]["workers"] = 4
+        assert _config_hash(scenario_from_dict(more_workers)) == base
 
     def test_invalid_samples_exit_one(self, fixtures_dir, tmp_path, capsys):
         doc = json.loads((fixtures_dir / "scenario1.json").read_text())
@@ -103,6 +122,33 @@ class TestCurves:
         assert np.allclose(com[:, 1], np.maximum(0.0, com[:, 0] - 0.98), atol=1e-12)
 
 
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_every_registered_model_runs(model, tmp_path, capsys):
+    doc = {
+        "label": "small pool, every model",
+        "portfolio": {"kind": "homogeneous", "n": 20, "pd": 0.05,
+                      "lgd": {"kind": "deterministic", "value": 0.5},
+                      "corr_interval": [0.12, 0.24]},
+        "models": [model],
+        "point_copulas": {"family": "clayton", "param": 0.5},
+        "mc": {"samples": 20_000, "seed": 3, "workers": 1},
+    }
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(doc))
+    code, stdout, _ = run(capsys, "bounds", "--scenario", str(sc), "--out", str(tmp_path / "b"))
+    assert code == 0
+    assert MODELS[model].label in stdout
+    code, _, _ = run(capsys, "curves", "--scenario", str(sc), "--out", str(tmp_path / "c"))
+    assert code == 0
+    # one row per grid point: all 20 borrowers share one key
+    curves = np.loadtxt(tmp_path / "c" / f"curves_{model}.csv", delimiter=",", skiprows=1,
+                        usecols=range(1, 8))
+    assert curves.shape == (1001, 7)
+    assert np.allclose(curves[-1, 1:4], 0.05, atol=1e-9)
+    g_lower, g_point, g_upper = curves[:, 1], curves[:, 2], curves[:, 3]
+    assert np.all(g_upper <= g_point + 1e-12) and np.all(g_point <= g_lower + 1e-12)
+
+
 class TestValidate:
     def test_idb_prints_all_borrowers(self, fixtures_dir, capsys):
         code, out, _ = run(capsys, "validate", "--scenario", str(fixtures_dir / "idb_scenario1.json"))
@@ -153,6 +199,11 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--scenario", str(sc), "--out", str(tmp_path / "o"))
         assert code == 1
         assert "at most 20" in err
+        # the dependence extremes have closed forms and no borrower cap
+        doc["models"] = ["independent", "comonotone"]
+        sc.write_text(json.dumps(doc))
+        code, _, _ = run(capsys, "oracle", "--scenario", str(sc), "--out", str(tmp_path / "x"))
+        assert code == 0
 
     def test_stochastic_lgd_rejected(self, fixtures_dir, tmp_path, capsys):
         doc = json.loads((fixtures_dir / "oracle_example.json").read_text())

@@ -3,10 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from creditbounds._normal import norm_cdf, norm_ppf
 from creditbounds.copulas import (
+    CHECK_TOLS,
     Clayton,
     Comonotone,
     Gaussian,
@@ -14,7 +17,9 @@ from creditbounds.copulas import (
     SurvivalClayton,
     is_pointwise_leq,
 )
+from creditbounds.portfolio import Borrower, DeterministicLgd
 from creditbounds.profiles import (
+    MODELS,
     ComonotoneProfile,
     EnvelopeProfile,
     GridProfile,
@@ -290,3 +295,22 @@ class TestGridProfile:
         assert g[0] == 0.0
         assert g[-1] == pytest.approx(0.02, abs=1e-9)
         assert np.all((p >= 0.0) & (p <= 1.0))
+
+
+class TestModelRegistry:
+    @pytest.mark.filterwarnings("ignore:pointwise min of the profile family")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        model=st.sampled_from(sorted(m for m, spec in MODELS.items() if not spec.per_copula)),
+        pd=st.floats(0.001, 0.5),
+        corrs=st.lists(st.floats(0.01, 0.9), min_size=3, max_size=3).map(sorted),
+    )
+    def test_bounds_lie_between_the_dependence_extremes(self, model, pd, corrs):
+        lo, point, hi = corrs
+        b = Borrower("b", pd, 1.0, DeterministicLgd(0.1), (lo, hi), point)
+        lower, upper = MODELS[model].bounds(b)
+        tol = CHECK_TOLS.absolute
+        g_lower, g_upper = lower.g(S_GRID), upper.g(S_GRID)
+        assert np.all(pd * S_GRID >= g_lower - tol)
+        assert np.all(g_lower >= g_upper - tol)
+        assert np.all(g_upper >= np.maximum(0.0, S_GRID - 1.0 + pd) - tol)

@@ -1,3 +1,7 @@
+import csv
+import dataclasses
+import io
+
 import numpy as np
 import pytest
 
@@ -183,6 +187,11 @@ class TestRiskReport:
         csv_text = report.to_csv()
         assert csv_text.splitlines()[0].startswith("scenario,model,alpha,avar_lower")
         assert len(csv_text.splitlines()) == 3
+        # shipped labels contain commas
+        labelled = dataclasses.replace(report, scenario_label="pool, scenario 1")
+        rows = list(csv.DictReader(io.StringIO(labelled.to_csv())))
+        assert [r["scenario"] for r in rows] == ["pool, scenario 1"] * 2
+        assert rows[1]["se_comon"] == repr(report.benchmark(0.99).se_comon)
         table = report.to_text()
         assert "Gaussian" in table and "indep" in table and "comon" in table
 

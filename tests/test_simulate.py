@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
 
 from creditbounds.portfolio import BetaLgd, Borrower, DeterministicLgd, homogeneous_portfolio
 from creditbounds.profiles import (
@@ -69,10 +68,15 @@ class TestSimulateLosses:
 
 
 class TestBenchmarks:
-    def test_independent_matches_profile_route_in_distribution(self):
+    def test_independent_is_the_profile_route(self):
         direct = simulate_independent(PORT, 100_000, seed=21)
-        via_profiles = simulate_losses(IND_PROFILES, PORT, 100_000, seed=22)
-        assert ks_2samp(direct.losses, via_profiles.losses).pvalue > 0.001
+        via_profiles = simulate_losses(IND_PROFILES, PORT, 100_000, seed=21)
+        assert np.array_equal(direct.losses, via_profiles.losses)
+
+    def test_comonotone_is_the_profile_route(self):
+        direct = simulate_comonotone(PORT, 100_000, seed=21)
+        via_profiles = simulate_losses(COM_PROFILES, PORT, 100_000, seed=21)
+        assert np.array_equal(direct.losses, via_profiles.losses)
 
     def test_single_borrower_fair_coin(self):
         port = homogeneous_portfolio(1, 0.5, DeterministicLgd(1.0))
