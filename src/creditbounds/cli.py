@@ -18,9 +18,13 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .portfolio import ConfigError, DeterministicLgd, Scenario, load_scenario
@@ -92,6 +96,12 @@ def _write_meta(out_dir: Path, scenario: Scenario, wall_time: float, extra: dict
         "seed": scenario.mc.seed,
         "workers": scenario.mc.workers,
         "wall_time_s": round(wall_time, 3),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+        },
     }
     meta.update(extra)
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")

@@ -4,7 +4,10 @@ The expected-shortfall estimator is the exact plug-in of the tail integral
 of the empirical quantile function: the boundary order statistic gets a
 fractional weight, so atoms are handled without the O(1/k) bias of a
 naive top-k mean.  Confidence levels follow the reporting convention
-(alpha = 0.95 averages the worst 5% of outcomes).
+(alpha = 0.95 averages the worst 5% of outcomes).  AVaR depends only on
+that tail, so on an equally weighted Monte Carlo sample it partitions out
+the worst ceil((1 - alpha) n) + 1 draws and sorts only those; exact
+(weighted) and pre-sorted samples use the whole sorted support.
 
 ``risk_report`` runs a scenario end to end: per-borrower profile bounds
 for each requested model family, a lower- and an upper-bound simulation
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from io import StringIO
 
@@ -26,6 +30,7 @@ import numpy as np
 from .portfolio import Scenario
 from .profiles import MODELS, model_spec
 from .simulate import (
+    _N_BATCHES,
     LossSample,
     batch_standard_error,
     simulate_comonotone,
@@ -45,6 +50,11 @@ __all__ = [
     "BenchmarkRow",
     "RiskReport",
 ]
+
+# a batch-means standard error of AVaR is noise when a batch's tail holds
+# fewer draws than this
+_MIN_TAIL_DRAWS = 10
+
 
 class ResultInvariantError(RuntimeError):
     """A computed report violates the ordering chain beyond tolerance."""
@@ -71,9 +81,19 @@ def avar(sample: LossSample, confidence: float) -> float:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     if sample.size == 0:
         raise ValueError("empty loss sample")
-    x, cum, total = _sorted_with_cum(sample)
+    if sample.weights is None and not sample.is_sorted:
+        # only draws of rank >= floor(confidence * n) carry weight; one more
+        # below keeps a float tie at the boundary weighted as in a full sort
+        n = sample.size
+        start = max(math.floor(confidence * n) - 1, 0)
+        x = LossSample(np.partition(sample.losses, start)[start:]).sorted().losses
+        cum = np.arange(start + 1, n + 1) / n
+        prev = np.arange(start, n) / n
+        total = 1.0
+    else:
+        x, cum, total = _sorted_with_cum(sample)
+        prev = np.concatenate([[0.0], cum[:-1]])
     q = confidence * total
-    prev = np.concatenate([[0.0], cum[:-1]])
     overlap = np.clip(cum - np.maximum(prev, q), 0.0, None)
     return float((x * overlap).sum() / (total - q))
 
@@ -104,7 +124,7 @@ def stop_loss_curve(sample: LossSample, thresholds) -> np.ndarray:
     return suffix_xw[idx] - ks * suffix_w[idx]
 
 
-def _batch_curves(sample: LossSample, ks: np.ndarray, n_batches: int = 20):
+def _batch_curves(sample: LossSample, ks: np.ndarray, n_batches: int = _N_BATCHES):
     if sample.weights is not None:
         return None
     parts = np.array_split(sample.losses, n_batches)
@@ -124,13 +144,15 @@ def check_cx_dominance(
     ``"violates"`` when some threshold exceeds the band the wrong way, and
     ``"indistinguishable"`` otherwise.  Statistical evidence, not proof.
     """
+    # the batch statistics below read the draws in simulation order
+    sorted_a, sorted_b = a.sorted(), b.sorted()
     if thresholds is None:
-        hi = max(var(a, 0.9999), var(b, 0.9999))
+        hi = max(var(sorted_a, 0.9999), var(sorted_b, 0.9999))
         thresholds = np.linspace(0.0, hi if hi > 0 else 1.0, 101)
     ks = np.asarray(thresholds, dtype=float)
 
-    curve_a = stop_loss_curve(a, ks)
-    curve_b = stop_loss_curve(b, ks)
+    curve_a = stop_loss_curve(sorted_a, ks)
+    curve_b = stop_loss_curve(sorted_b, ks)
     batches_a = _batch_curves(a, ks)
     batches_b = _batch_curves(b, ks)
 
@@ -271,6 +293,24 @@ def _avar_with_se(sample: LossSample, alpha: float) -> tuple[float, float]:
     return avar(sample, alpha), batch_standard_error(sample, lambda s: avar(s, alpha))
 
 
+def _tail_draws_per_batch(samples: int, alpha: float) -> int:
+    return math.floor(samples / _N_BATCHES * (1.0 - alpha))
+
+
+def _warn_thin_tails(samples: int, alphas) -> None:
+    for alpha in alphas:
+        draws = _tail_draws_per_batch(samples, alpha)
+        if draws < _MIN_TAIL_DRAWS:
+            needed = math.ceil(_MIN_TAIL_DRAWS * _N_BATCHES / (1.0 - alpha))
+            while _tail_draws_per_batch(needed, alpha) < _MIN_TAIL_DRAWS:
+                needed += 1  # float rounding of the division above
+            warnings.warn(
+                f"alpha {alpha}: {draws} tail draws per standard-error batch, fewer than "
+                f"{_MIN_TAIL_DRAWS}; a batch standard error needs --samples {needed} or more",
+                stacklevel=3,
+            )
+
+
 def _check_chain(report: RiskReport) -> None:
     for r in report.rows:
         bench = report.benchmark(r.alpha)
@@ -293,6 +333,7 @@ def risk_report(scenario: Scenario, check_chain: bool = True) -> RiskReport:
     """Simulate a scenario and assemble its AVaR bound report."""
     borrowers = scenario.borrowers
     mc = scenario.mc
+    _warn_thin_tails(mc.samples, scenario.alphas)
 
     indep = simulate_independent(borrowers, mc.samples, mc.seed + 0, mc.workers)
     comon = simulate_comonotone(borrowers, mc.samples, mc.seed + 1, mc.workers)

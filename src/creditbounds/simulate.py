@@ -36,6 +36,8 @@ __all__ = [
 
 _CHUNK = 1 << 14
 _MAX_EXACT_N = 20
+_MAX_EXACT_SUPPORT = 2**20
+_N_BATCHES = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,9 +66,10 @@ class LossSample:
     def sorted(self) -> "LossSample":
         if self.is_sorted:
             return self
+        if self.weights is None:
+            return LossSample(np.sort(self.losses), is_sorted=True)
         order = np.argsort(self.losses, kind="stable")
-        w = self.weights[order] if self.weights is not None else None
-        return LossSample(self.losses[order], w, is_sorted=True)
+        return LossSample(self.losses[order], self.weights[order], is_sorted=True)
 
     def mean(self) -> float:
         if self.weights is None:
@@ -246,9 +249,11 @@ def exact_loss_distribution(profiles, portfolio, quad_nodes: int = 256) -> LossS
     """Exact loss distribution for small portfolios with deterministic LGD.
 
     All-comonotone and all-independent profile sets are handled by exact
-    combinatorics; everything else integrates the conditional default
-    probabilities over the factor with Gauss-Legendre quadrature and
-    convolves the pooled binomial default counts, for at most 20 borrowers.
+    combinatorics, the latter for at most 2**20 support points (the product
+    of group size + 1 over pooled groups); everything else integrates the
+    conditional default probabilities over the factor with Gauss-Legendre
+    quadrature and convolves the pooled binomial default counts, for at most
+    20 borrowers.
     The returned weights sum to one within 1e-12.
     """
     _validate_alignment(profiles, portfolio)
@@ -258,11 +263,17 @@ def exact_loss_distribution(profiles, portfolio, quad_nodes: int = 256) -> LossS
         raise ValueError("exact distribution requires deterministic LGD for every borrower")
 
     groups = _pool(portfolio, profiles)
-    # the closed-form dependence extremes need no enumeration and carry no
-    # borrower-count cap; only the factor-quadrature path does
+    # the closed-form dependence extremes carry no borrower-count cap; the
+    # independent one enumerates its support, so it is capped on that size
     if all(isinstance(g.profile, ComonotoneProfile) for g in groups):
         return _exact_comonotone(groups)
     if all(isinstance(g.profile, IndependentProfile) for g in groups):
+        size = math.prod(g.n + 1 for g in groups)
+        if size > _MAX_EXACT_SUPPORT:
+            raise ValueError(
+                f"exact independent distribution has {size} support points, "
+                f"above the cap of {_MAX_EXACT_SUPPORT}"
+            )
         support = np.array([0.0])
         probs = np.ones(1)
         for grp in groups:
@@ -283,7 +294,7 @@ def exact_loss_distribution(profiles, portfolio, quad_nodes: int = 256) -> LossS
     return sample
 
 
-def batch_standard_error(sample: LossSample, stat_fn, n_batches: int = 20) -> float:
+def batch_standard_error(sample: LossSample, stat_fn, n_batches: int = _N_BATCHES) -> float:
     """Batch-means standard error of a statistic of an MC loss sample."""
     if sample.weights is not None:
         return 0.0

@@ -1,7 +1,11 @@
 import json
+import os
+import platform
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 
 from creditbounds.cli import _config_hash, main
 from creditbounds.portfolio import scenario_from_dict
@@ -34,6 +38,12 @@ class TestBounds:
         assert meta["samples"] == 50_000
         assert meta["seed"] == 7
         assert "config_hash" in meta and "wall_time_s" in meta
+        assert meta["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+        }
         assert "Gaussian" in stdout
 
     def test_byte_identical_reports_across_workers(self, small_scenario, tmp_path, capsys):
@@ -204,6 +214,23 @@ class TestOracle:
         sc.write_text(json.dumps(doc))
         code, _, _ = run(capsys, "oracle", "--scenario", str(sc), "--out", str(tmp_path / "x"))
         assert code == 0
+
+    def test_large_independent_support_rejected(self, fixtures_dir, tmp_path, capsys):
+        # 26 borrowers pool into 26 groups: 2^26 support points
+        doc = json.loads((fixtures_dir / "idb_scenario1.json").read_text())
+        doc["portfolio"]["path"] = str(fixtures_dir / "idb_portfolio.csv")
+        doc["models"] = ["independent"]
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "oracle", "--scenario", str(sc), "--out", str(tmp_path / "o"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "support" in err and str(2**26) in err
+        assert peak < 2**20  # far below one 2^20-point support array
 
     def test_stochastic_lgd_rejected(self, fixtures_dir, tmp_path, capsys):
         doc = json.loads((fixtures_dir / "oracle_example.json").read_text())

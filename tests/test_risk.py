@@ -1,9 +1,12 @@
 import csv
 import dataclasses
 import io
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from creditbounds.portfolio import DeterministicLgd, homogeneous_portfolio, scenario_from_dict
 from creditbounds.profiles import gaussian_profile
@@ -60,6 +63,39 @@ class TestAvar:
             avar(TWO_POINT, 1.0)
         with pytest.raises(ValueError):
             avar(LossSample(np.array([])), 0.95)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 5000),
+        seed=st.integers(0, 2**32 - 1),
+        lattice=st.booleans(),
+        data=st.data(),
+    )
+    def test_tail_matches_full_sort(self, n, seed, lattice, data):
+        rng = np.random.default_rng(seed)
+        losses = rng.integers(0, 6, n) * 0.01 if lattice else rng.exponential(0.01, n)
+        open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        # alpha * n an integer puts the tail boundary exactly on a draw
+        alpha = data.draw(
+            st.one_of(open_unit, st.integers(1, n - 1).map(lambda k: k / n)) if n > 1 else open_unit
+        )
+        x = np.sort(losses)
+        cum = np.arange(1, n + 1) / n
+        overlap = np.clip(cum - np.maximum(np.arange(n) / n, alpha), 0.0, None)
+        reference = float((x * overlap).sum() / (1.0 - alpha))
+        assert avar(LossSample(losses), alpha) == pytest.approx(reference, rel=1e-12, abs=1e-15)
+
+    def test_boundary_draw_keeps_its_float_weight(self):
+        # alpha * n rounds up to 5, yet cum = fl(5/6) exceeds alpha by one ulp,
+        # so the draw of rank 4 still carries weight
+        alpha = np.nextafter(5 / 6, 0.0)
+        assert avar(LossSample(np.arange(6.0, 0.0, -1.0)), alpha) == 6.0
+
+    def test_weighted_sample_keeps_the_full_sort_route(self):
+        s = LossSample(np.array([0.3, 0.0, 0.1, 0.2, 0.1]), np.array([0.01, 0.88, 0.05, 0.04, 0.02]))
+        assert avar(s, 0.9) == 0.15999999999999984
+        assert avar(s, 0.95) == 0.21999999999999956
+        assert avar(s, 0.99) == 0.2999999999999989
 
 
 class TestVar:
@@ -207,6 +243,13 @@ class TestRiskReport:
         )
         with pytest.raises(ResultInvariantError, match="exceeds"):
             _check_chain(bad)
+
+    def test_thin_batch_tails_warn(self):
+        with pytest.warns(UserWarning, match=r"alpha 0\.99: 1 tail draws .* --samples 20000 "):
+            risk_report(_tiny_scenario(samples=2_000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            risk_report(_tiny_scenario(samples=100_000))
 
     def test_gauss_clayton_lower_tracks_gaussian_point(self):
         report = risk_report(_tiny_scenario(("gauss_clayton",), samples=100_000))
