@@ -377,6 +377,22 @@ class Scenario:
                 raise ValueError(f"confidence levels must lie in (0, 1), got {a}")
 
 
+def _number(value, where: str, kind=float):
+    """``kind(value)``, or a ConfigError naming the field when it is no number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+
+
+def _numbers(value, where: str, length: int | None = None) -> tuple:
+    """A JSON list of numbers (of ``length`` items when given) as floats."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        count = "" if length is None else f"{length} "
+        raise ConfigError(f"{where}: expected a list of {count}numbers, got {value!r}")
+    return tuple(_number(v, where) for v in value)
+
+
 def _lgd_from_dict(obj: dict, where: str):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{where}: lgd must be an object with a 'kind' field")
@@ -388,7 +404,7 @@ def _lgd_from_dict(obj: dict, where: str):
             return BetaLgd(float(obj["mean"]), float(obj["vol"]))
     except KeyError as exc:
         raise ConfigError(f"{where}: lgd is missing field {exc}") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
     raise ConfigError(f"{where}: unknown lgd kind {kind!r}")
 
@@ -412,7 +428,7 @@ def _copula_from_dict(obj: dict, where: str):
             return cop.SurvivalClayton(float(obj["param"]))
     except KeyError:
         raise ConfigError(f"{where}: copula family {family!r} needs a 'param' field") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
     raise ConfigError(f"{where}: unknown copula family {family!r}")
 
@@ -422,7 +438,9 @@ def _portfolio_from_dict(obj: dict, base_dir: Path) -> list[Borrower]:
         raise ConfigError("scenario field 'portfolio': must be an object with a 'kind' field")
     kind = obj["kind"]
     lgd = _lgd_from_dict(obj["lgd"], "portfolio.lgd") if "lgd" in obj else None
-    irb_bounds = tuple(obj.get("irb_bounds", DEFAULT_IRB_BOUNDS))
+    irb_bounds = DEFAULT_IRB_BOUNDS
+    if "irb_bounds" in obj:
+        irb_bounds = _numbers(obj["irb_bounds"], "portfolio.irb_bounds", 2)
     if kind == "homogeneous":
         for req in ("n", "pd"):
             if req not in obj:
@@ -430,14 +448,12 @@ def _portfolio_from_dict(obj: dict, base_dir: Path) -> list[Borrower]:
         if lgd is None:
             raise ConfigError("portfolio: homogeneous portfolio needs field 'lgd'")
         corr = obj.get("corr_interval")
+        if corr is not None:
+            corr = _numbers(corr, "portfolio.corr_interval", 2)
+        n = _number(obj["n"], "portfolio.n", int)
+        pd = _number(obj["pd"], "portfolio.pd")
         try:
-            return homogeneous_portfolio(
-                int(obj["n"]),
-                float(obj["pd"]),
-                lgd,
-                corr_interval=tuple(corr) if corr is not None else None,
-                irb_bounds=irb_bounds,
-            )
+            return homogeneous_portfolio(n, pd, lgd, corr_interval=corr, irb_bounds=irb_bounds)
         except ValueError as exc:
             raise ConfigError(f"portfolio: {exc}") from None
     if kind == "csv":
@@ -446,12 +462,10 @@ def _portfolio_from_dict(obj: dict, base_dir: Path) -> list[Borrower]:
         csv_path = Path(obj["path"])
         if not csv_path.is_absolute():
             csv_path = base_dir / csv_path
+        corr_shift = _number(obj.get("corr_shift", DEFAULT_CORR_SHIFT), "portfolio.corr_shift")
         try:
             return load_portfolio_csv(
-                csv_path,
-                irb_bounds=irb_bounds,
-                corr_shift=float(obj.get("corr_shift", DEFAULT_CORR_SHIFT)),
-                lgd_override=lgd,
+                csv_path, irb_bounds=irb_bounds, corr_shift=corr_shift, lgd_override=lgd
             )
         except ValueError as exc:
             raise ConfigError(f"portfolio: {exc}") from None
@@ -474,16 +488,20 @@ def scenario_from_dict(doc: dict, base_dir=".") -> Scenario:
         raise ConfigError("scenario is missing field 'model' (or 'models')")
     if isinstance(models, str):
         models = [models]
+    if not isinstance(models, list):
+        raise ConfigError(
+            f"scenario field 'models': expected a model name or a list of names, got {models!r}"
+        )
+    alphas = _numbers(doc.get("alphas", [0.95, 0.99]), "scenario field 'alphas'")
     mc_doc = doc["mc"]
     for req in ("samples", "seed"):
         if not isinstance(mc_doc, dict) or req not in mc_doc:
             raise ConfigError(f"scenario field 'mc': missing field {req!r}")
+    samples = _number(mc_doc["samples"], "scenario field 'mc.samples'", int)
+    seed = _number(mc_doc["seed"], "scenario field 'mc.seed'", int)
+    workers = _number(mc_doc.get("workers", 1), "scenario field 'mc.workers'", int)
     try:
-        mc = McConfig(
-            samples=int(mc_doc["samples"]),
-            seed=int(mc_doc["seed"]),
-            workers=int(mc_doc.get("workers", 1)),
-        )
+        mc = McConfig(samples=samples, seed=seed, workers=workers)
     except ValueError as exc:
         raise ConfigError(f"scenario field 'mc': {exc}") from None
     borrowers = _portfolio_from_dict(doc["portfolio"], Path(base_dir))
@@ -492,6 +510,11 @@ def scenario_from_dict(doc: dict, base_dir=".") -> Scenario:
         raw = doc["point_copulas"]
         if isinstance(raw, dict):
             raw = [raw] * len(borrowers)
+        if not isinstance(raw, list):
+            raise ConfigError(
+                f"scenario field 'point_copulas': expected a copula object or a list of them, "
+                f"got {raw!r}"
+            )
         point_copulas = tuple(
             _copula_from_dict(o, f"point_copulas[{i}]") for i, o in enumerate(raw)
         )
@@ -500,7 +523,7 @@ def scenario_from_dict(doc: dict, base_dir=".") -> Scenario:
             label=str(doc.get("label", "scenario")),
             borrowers=tuple(borrowers),
             models=tuple(models),
-            alphas=tuple(float(a) for a in doc.get("alphas", (0.95, 0.99))),
+            alphas=alphas,
             mc=mc,
             point_copulas=point_copulas,
         )

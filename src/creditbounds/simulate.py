@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo engine for portfolio losses, plus an exact small-portfolio oracle.
+"""Seeded Monte Carlo engine for portfolio losses, plus an exact loss-distribution oracle.
 
 Draws are organized in fixed-size chunks; each chunk owns a Philox
 (counter-based) generator keyed by the global seed and the chunk index, so
@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 14
-_MAX_EXACT_N = 20
 _MAX_EXACT_SUPPORT = 2**20
 _N_BATCHES = 20
 
@@ -201,7 +200,8 @@ def _merge_support(support: np.ndarray, weights: np.ndarray, tol: float = 1e-12)
 
 def _exact_comonotone(groups) -> LossSample:
     # one uniform drives everything: borrowers default in order of
-    # descending pd as it passes their thresholds 1 - pd
+    # descending pd as it passes their thresholds 1 - pd; groups sharing a
+    # threshold default together, so they add to one atom
     items = sorted(
         ((1.0 - g.pd, g.n * g.weight * g.lgd.value) for g in groups),
         key=lambda pair: pair[0],
@@ -211,83 +211,72 @@ def _exact_comonotone(groups) -> LossSample:
     prev = 0.0
     acc = 0.0
     for tau, amount in items:
-        weights.append(tau - prev)
         acc += amount
-        support.append(acc)
-        prev = tau
+        if weights and tau == prev:
+            support[-1] = acc
+        else:
+            weights.append(tau - prev)
+            support.append(acc)
+            prev = tau
     weights.append(1.0 - prev)
     return _merge_support(np.asarray(support), np.asarray(weights))
 
 
 def _exact_general(groups, quad_nodes: int) -> LossSample:
-    x, w = np.polynomial.legendre.leggauss(quad_nodes)
-    t = 0.5 * (x + 1.0)
-    wq = 0.5 * w
+    if all(isinstance(g.profile, IndependentProfile) for g in groups):
+        # the integrand does not depend on the factor: one node is exact
+        t, wq = np.array([0.5]), np.array([1.0])
+    else:
+        x, w = np.polynomial.legendre.leggauss(quad_nodes)
+        t = 0.5 * (x + 1.0)
+        wq = 0.5 * w
 
     # support over default-count combinations across pooled groups
     support = np.array([0.0])
-    sizes = []
     for grp in groups:
         unit = grp.weight * grp.lgd.value
         support = (support[:, None] + unit * np.arange(grp.n + 1)[None, :]).ravel()
-        sizes.append(grp.n + 1)
 
     weights = np.zeros(support.size)
     batch = max(1, int(2_000_000 // max(1, support.size)))
-    for q0 in range(0, quad_nodes, batch):
+    for q0 in range(0, t.size, batch):
         tq = t[q0:q0 + batch]
         probs = np.ones((tq.size, 1))
-        for grp, size in zip(groups, sizes):
+        for grp in groups:
             p = np.clip(grp.profile._cpd(tq), 0.0, 1.0)
-            pmf = _binom.pmf(np.arange(size)[None, :], size - 1, p[:, None])
+            pmf = _binom.pmf(np.arange(grp.n + 1)[None, :], grp.n, p[:, None])
             probs = (probs[:, :, None] * pmf[:, None, :]).reshape(tq.size, -1)
         weights += wq[q0:q0 + batch] @ probs
     return _merge_support(support, weights)
 
 
 def exact_loss_distribution(profiles, portfolio, quad_nodes: int = 256) -> LossSample:
-    """Exact loss distribution for small portfolios with deterministic LGD.
+    """Exact loss distribution for portfolios with deterministic LGD.
 
-    All-comonotone and all-independent profile sets are handled by exact
-    combinatorics, the latter for at most 2**20 support points (the product
-    of group size + 1 over pooled groups); everything else integrates the
-    conditional default probabilities over the factor with Gauss-Legendre
-    quadrature and convolves the pooled binomial default counts, for at most
-    20 borrowers.
+    All-comonotone profile sets have a closed form and no size cap.  Every
+    other set integrates the conditional default probabilities over the
+    factor with ``quad_nodes``-point Gauss-Legendre quadrature (one node when
+    every profile is independent) and convolves the pooled binomial default
+    counts, for at most 2**20 support points: the product of group size + 1
+    over pooled groups.
     The returned weights sum to one within 1e-12.
     """
     _validate_alignment(profiles, portfolio)
-    if quad_nodes < 16:
-        raise ValueError(f"quad_nodes must be at least 16, got {quad_nodes}")
+    if not 16 <= quad_nodes <= 4096:
+        raise ValueError(f"quad_nodes must lie in [16, 4096], got {quad_nodes}")
     if not all(isinstance(b.lgd, DeterministicLgd) for b in portfolio):
         raise ValueError("exact distribution requires deterministic LGD for every borrower")
 
     groups = _pool(portfolio, profiles)
-    # the closed-form dependence extremes carry no borrower-count cap; the
-    # independent one enumerates its support, so it is capped on that size
     if all(isinstance(g.profile, ComonotoneProfile) for g in groups):
         return _exact_comonotone(groups)
-    if all(isinstance(g.profile, IndependentProfile) for g in groups):
-        size = math.prod(g.n + 1 for g in groups)
-        if size > _MAX_EXACT_SUPPORT:
-            raise ValueError(
-                f"exact independent distribution has {size} support points, "
-                f"above the cap of {_MAX_EXACT_SUPPORT}"
-            )
-        support = np.array([0.0])
-        probs = np.ones(1)
-        for grp in groups:
-            unit = grp.weight * grp.lgd.value
-            pmf = _binom.pmf(np.arange(grp.n + 1), grp.n, grp.pd)
-            support = (support[:, None] + unit * np.arange(grp.n + 1)[None, :]).ravel()
-            probs = (probs[:, None] * pmf[None, :]).ravel()
-        sample = _merge_support(support, probs)
-    elif len(portfolio) > _MAX_EXACT_N:
+    size = math.prod(g.n + 1 for g in groups)
+    if size > _MAX_EXACT_SUPPORT:
         raise ValueError(
-            f"exact distribution supports at most {_MAX_EXACT_N} borrowers, got {len(portfolio)}"
+            f"exact distribution has {size} support points, "
+            f"above the cap of {_MAX_EXACT_SUPPORT}"
         )
-    else:
-        sample = _exact_general(groups, quad_nodes)
+    sample = _exact_general(groups, quad_nodes)
     total = sample.weights.sum()
     if abs(total - 1.0) > 1e-12:
         raise RuntimeError(f"exact distribution weights sum to {total!r}")

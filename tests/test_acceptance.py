@@ -206,6 +206,25 @@ def test_criterion_4_analytic_comonotone_benchmark():
     _verdict(4, "exact two-point comonotone AVaR", failures)
 
 
+def test_exact_table1_bounds():
+    """Table 1 from the exact distributions: 1,000 pooled borrowers, 1,001 points."""
+    scenario = load_scenario(FIXTURES / "scenario1.json")
+    borrowers = scenario.borrowers
+    failures = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for model, per_alpha in TABLE1.items():
+            lowers, uppers = bound_profiles(model, borrowers, scenario.point_copulas)
+            exact = [exact_loss_distribution(p, borrowers) for p in (lowers, uppers)]
+            for alpha, refs in zip((0.95, 0.99), per_alpha):
+                tol = 0.15 if (model, alpha) == ("clayton", 0.99) else 0.05
+                for dist, ref, side in zip(exact, refs, ("lower", "upper")):
+                    got = 100.0 * avar(dist, alpha)
+                    if abs(got - ref) > tol:
+                        failures.append(f"{model}@{alpha} {side}: {got:.3f} vs {ref} (tol {tol})")
+    assert not failures, failures
+
+
 def _random_portfolio(rng):
     n = int(rng.integers(3, 13))
     raw = rng.uniform(0.5, 2.0, n)

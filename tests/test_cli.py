@@ -202,18 +202,29 @@ class TestOracle:
         assert exact[:, 1].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_large_portfolio_rejected(self, fixtures_dir, tmp_path, capsys):
+        # 25 homogeneous borrowers pool into one group: 26 support points
         doc = json.loads((fixtures_dir / "oracle_example.json").read_text())
         doc["portfolio"]["n"] = 25
         sc = tmp_path / "sc.json"
         sc.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "oracle", "--scenario", str(sc), "--out", str(tmp_path / "o"))
-        assert code == 1
-        assert "at most 20" in err
-        # the dependence extremes have closed forms and no borrower cap
+        code, _, _ = run(capsys, "oracle", "--scenario", str(sc), "--out", str(tmp_path / "o"))
+        assert code == 0
+        report = (tmp_path / "o" / "oracle_report.csv").read_text().splitlines()
+        assert len(report) == 2 and report[1].endswith("True")
         doc["models"] = ["independent", "comonotone"]
         sc.write_text(json.dumps(doc))
         code, _, _ = run(capsys, "oracle", "--scenario", str(sc), "--out", str(tmp_path / "x"))
         assert code == 0
+        # 21 distinct exposures stay 21 groups: 2^21 support points
+        rows = ["name,amount,pd,lgd_kind,lgd_mean,lgd_vol,corr_lo,corr_hi"]
+        rows += [f"b{i},{i + 1},0.1,deterministic,1.0,,0.15,0.25" for i in range(21)]
+        (tmp_path / "p.csv").write_text("\n".join(rows) + "\n")
+        doc["portfolio"] = {"kind": "csv", "path": "p.csv"}
+        doc["models"] = ["gaussian"]
+        sc.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "oracle", "--scenario", str(sc), "--out", str(tmp_path / "y"))
+        assert code == 1
+        assert "support" in err and str(2**21) in err
 
     def test_large_independent_support_rejected(self, fixtures_dir, tmp_path, capsys):
         # 26 borrowers pool into 26 groups: 2^26 support points
@@ -232,6 +243,18 @@ class TestOracle:
         assert "support" in err and str(2**26) in err
         assert peak < 2**20  # far below one 2^20-point support array
 
+    def test_quad_nodes_above_the_maximum_rejected(self, fixtures_dir, tmp_path, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"leggauss({n}) reached")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        code, _, err = run(
+            capsys, "oracle", "--scenario", str(fixtures_dir / "oracle_example.json"),
+            "--out", str(tmp_path / "o"), "--quad-nodes", "100000",
+        )
+        assert code == 1
+        assert "quad_nodes" in err and "100000" in err
+
     def test_stochastic_lgd_rejected(self, fixtures_dir, tmp_path, capsys):
         doc = json.loads((fixtures_dir / "oracle_example.json").read_text())
         doc["portfolio"]["lgd"] = {"kind": "beta", "mean": 0.1, "vol": 0.15}
@@ -240,6 +263,32 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--scenario", str(sc), "--out", str(tmp_path / "o"))
         assert code == 1
         assert "deterministic" in err
+
+
+@pytest.mark.parametrize(
+    "patch, field",
+    [
+        ({"alphas": 0.95}, "alphas"),
+        ({"alphas": ["x"]}, "alphas"),
+        ({"models": 5}, "models"),
+        ({"mc": {"samples": None, "seed": 7}}, "mc.samples"),
+        ({"portfolio": {"irb_bounds": 5}}, "irb_bounds"),
+        ({"portfolio": {"corr_interval": 0.2}}, "corr_interval"),
+        ({"point_copulas": 3}, "point_copulas"),
+    ],
+)
+def test_wrong_typed_field_is_named(patch, field, fixtures_dir, tmp_path, capsys):
+    doc = json.loads((fixtures_dir / "oracle_example.json").read_text())
+    for key, value in patch.items():
+        if key == "portfolio":
+            doc[key].update(value)
+        else:
+            doc[key] = value
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", "--scenario", str(sc))
+    assert code == 1
+    assert err.startswith("error: ") and field in err
 
 
 def test_missing_scenario_file(tmp_path, capsys):

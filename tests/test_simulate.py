@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import binom
 
 from creditbounds.portfolio import BetaLgd, Borrower, DeterministicLgd, homogeneous_portfolio
 from creditbounds.profiles import (
@@ -11,6 +14,7 @@ from creditbounds.profiles import (
 )
 from creditbounds.simulate import (
     LossSample,
+    _merge_support,
     batch_standard_error,
     dkw_epsilon,
     exact_loss_distribution,
@@ -144,16 +148,64 @@ class TestExactDistribution:
             mc = simulate_losses(profiles, port, 100_000, seed=32)
             assert sup_cdf_distance(mc, ex) < dkw_epsilon(100_000)
 
+    def test_comonotone_shared_threshold_is_one_atom(self):
+        borrowers = [
+            Borrower("a", 0.1, 0.6, DeterministicLgd(1.0), (0.1, 0.2), 0.15),
+            Borrower("b", 0.1, 0.4, DeterministicLgd(1.0), (0.1, 0.2), 0.15),
+        ]
+        ex = exact_loss_distribution([ComonotoneProfile(0.1)] * 2, borrowers)
+        assert np.array_equal(ex.losses, [0.0, 1.0])
+        assert np.allclose(ex.weights, [0.9, 0.1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 12),
+                st.floats(0.001, 0.999),
+                st.sampled_from([0.25, 0.45, 1.0]),
+                st.sampled_from([0.5, 1.0, 1.7]),
+            ),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda g: g[1:],
+        )
+    )
+    def test_independent_is_the_product_of_binomials(self, groups):
+        total = sum(n * amount for n, _, _, amount in groups)
+        borrowers, support, probs = [], np.array([0.0]), np.ones(1)
+        for n, pd, lgd, amount in groups:
+            weight = amount / total
+            borrowers += [
+                Borrower(f"b{len(borrowers) + i}", pd, weight, DeterministicLgd(lgd), (0.1, 0.2), 0.15)
+                for i in range(n)
+            ]
+            pmf = binom.pmf(np.arange(n + 1), n, pd)
+            support = (support[:, None] + weight * lgd * np.arange(n + 1)[None, :]).ravel()
+            probs = (probs[:, None] * pmf[None, :]).ravel()
+        reference = _merge_support(support, probs)
+        ex = exact_loss_distribution([IndependentProfile(b.pd) for b in borrowers], borrowers)
+        assert np.array_equal(ex.losses, reference.losses)
+        assert np.array_equal(ex.weights, reference.weights)
+
     def test_scope_errors(self):
+        # 25 pooled borrowers are 26 support points, far below the cap
         port = homogeneous_portfolio(25, 0.1, DeterministicLgd(1.0))
-        with pytest.raises(ValueError, match="at most 20"):
-            exact_loss_distribution([gaussian_profile(0.2, 0.1)] * 25, port)
+        assert exact_loss_distribution([gaussian_profile(0.2, 0.1)] * 25, port).size == 26
+        # distinct exposures keep 21 borrowers apart: 2^21 support points
+        port21 = [
+            Borrower(f"b{i}", 0.1, (i + 1) / 231, DeterministicLgd(1.0), (0.1, 0.2), 0.15)
+            for i in range(21)
+        ]
+        with pytest.raises(ValueError, match=f"{2**21} support points"):
+            exact_loss_distribution([gaussian_profile(0.2, 0.1)] * 21, port21)
         port_beta = homogeneous_portfolio(5, 0.1, BetaLgd(0.1, 0.15))
         with pytest.raises(ValueError, match="deterministic LGD"):
             exact_loss_distribution([gaussian_profile(0.2, 0.1)] * 5, port_beta)
         port5 = homogeneous_portfolio(5, 0.1, DeterministicLgd(1.0))
-        with pytest.raises(ValueError, match="quad_nodes"):
-            exact_loss_distribution([gaussian_profile(0.2, 0.1)] * 5, port5, quad_nodes=8)
+        for nodes in (8, 4097):
+            with pytest.raises(ValueError, match="quad_nodes"):
+                exact_loss_distribution([gaussian_profile(0.2, 0.1)] * 5, port5, quad_nodes=nodes)
 
 
 class TestLossSample:
