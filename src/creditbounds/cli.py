@@ -14,6 +14,7 @@ violation (the computed ordering chain is broken beyond tolerance).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -21,6 +22,8 @@ import os
 import platform
 import sys
 import time
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -107,20 +110,39 @@ def _write_meta(out_dir: Path, scenario: Scenario, wall_time: float, extra: dict
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
+@contextlib.contextmanager
+def _recorded_warnings():
+    """Record the warnings of the block, then issue them again under the
+    caller's filters, as if never recorded; fills the yielded list with one
+    {category, message, count} entry per distinct warning."""
+    fired = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            yield fired
+    finally:
+        registry = {}
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, registry=registry)
+        counts = Counter((w.category.__name__, str(w.message)) for w in caught)
+        fired.extend({"category": c, "message": m, "count": n} for (c, m), n in counts.items())
+
+
 def cmd_bounds(args) -> int:
-    scenario = _resolve_scenario(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
-    report = risk_report(scenario)
-    wall = time.perf_counter() - start
+    with _recorded_warnings() as fired:
+        scenario = _resolve_scenario(args)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        start = time.perf_counter()
+        report = risk_report(scenario)
+        wall = time.perf_counter() - start
     (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
     ses = {
         f"{r.model}@{r.alpha}": {"se_lower": r.se_lower, "se_upper": r.se_upper}
         for r in report.rows
     }
-    _write_meta(out_dir, scenario, wall, {"standard_errors": ses})
+    _write_meta(out_dir, scenario, wall, {"standard_errors": ses, "warnings": fired})
     sys.stdout.write(report.to_text())
     return 0
 

@@ -16,12 +16,14 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._normal import bvn_cdf, norm_cdf, norm_ppf
 
 __all__ = [
+    "Factor",
     "Copula",
     "Independence",
     "Comonotone",
@@ -78,6 +80,53 @@ def _scalar_or_array(x, *inputs):
     return x
 
 
+class Factor:
+    """Uniformized factor values with their transforms, each computed at most once.
+
+    Every borrower's conditional default probability is a function of the
+    same factor draw, so one ``Factor`` serves every conditional evaluated
+    on it.  ``clipped`` keeps t inside (0, 1), where every transform is
+    finite; ``flip`` is 1 - t with transforms of its own.  ``f[mask]`` is
+    the subset, carrying the transforms already computed.
+    """
+
+    def __init__(self, t):
+        self.t = np.asarray(t, dtype=float)
+
+    @cached_property
+    def clipped(self) -> "Factor":
+        return Factor(np.clip(self.t, 1e-300, 1.0 - 1e-16))
+
+    @cached_property
+    def ppf(self) -> np.ndarray:
+        return norm_ppf(self.t)
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        return np.log(self.t)
+
+    @cached_property
+    def flip(self) -> "Factor":
+        return Factor(1.0 - self.t)
+
+    def __getitem__(self, mask) -> "Factor":
+        sub = object.__new__(Factor)
+        vars(sub).update((name, value[mask]) for name, value in vars(self).items())
+        return sub
+
+
+def _on_inner(u, f: Factor, fn):
+    """fn(u, f) where 0 < u < 1, else 0 (u <= 0) or 1 (u >= 1).  A scalar u
+    inside (0, 1), as every default profile passes, stays a scalar."""
+    if np.ndim(u) == 0 and 0.0 < u < 1.0:
+        return fn(u, f)
+    u, t = np.broadcast_arrays(u, f.t)
+    inner = (u > 0.0) & (u < 1.0)
+    out = np.where(u >= 1.0, 1.0, 0.0)
+    out[inner] = fn(u[inner], Factor(t[inner]))
+    return out
+
+
 class Copula(ABC):
     """Bivariate copula interface: CDF, conditionals, survival transform."""
 
@@ -86,8 +135,8 @@ class Copula(ABC):
         """C(u, v) on validated arrays."""
 
     @abstractmethod
-    def _conditional(self, u, v):
-        """C(u | v) = d C(u, v) / dv on validated arrays, v in (0, 1)."""
+    def _conditional(self, u, f: Factor):
+        """C(u | v) = d C(u, v) / dv for validated u and the factor f of v in (0, 1)."""
 
     @abstractmethod
     def _inverse_conditional(self, t, v):
@@ -116,7 +165,7 @@ class Copula(ABC):
         """
         u = _as_unit(u, "u")
         v = _as_open_unit(v, "v")
-        return _scalar_or_array(self._conditional(u, v), u, v)
+        return _scalar_or_array(self._conditional(u, Factor(v)), u, v)
 
     def inverse_conditional(self, t, v):
         """Evaluate inf{u : C(u | v) >= t} for t in [0, 1], v in (0, 1)."""
@@ -132,8 +181,8 @@ class Independence(Copula):
     def _cdf(self, u, v):
         return u * v
 
-    def _conditional(self, u, v):
-        return np.broadcast_arrays(u, v)[0].copy()
+    def _conditional(self, u, f):
+        return np.broadcast_arrays(u, f.t)[0].copy()
 
     def _inverse_conditional(self, t, v):
         return np.broadcast_arrays(t, v)[0].copy()
@@ -152,8 +201,8 @@ class Comonotone(Copula):
     def _cdf(self, u, v):
         return np.minimum(u, v)
 
-    def _conditional(self, u, v):
-        return np.where(u >= v, 1.0, 0.0)
+    def _conditional(self, u, f):
+        return np.where(u >= f.t, 1.0, 0.0)
 
     def _inverse_conditional(self, t, v):
         t, v = np.broadcast_arrays(t, v)
@@ -197,17 +246,11 @@ class Gaussian(Copula):
         out[at_top_v] = u[at_top_v]
         return out
 
-    def _conditional(self, u, v):
+    def _conditional(self, u, f):
         if self.r == 1.0:
-            return np.where(u >= v, 1.0, 0.0)
-        u, v = np.broadcast_arrays(u, v)
-        out = np.empty(u.shape)
-        inner = (u > 0.0) & (u < 1.0)
+            return np.where(u >= f.t, 1.0, 0.0)
         s = math.sqrt(1.0 - self.r * self.r)
-        out[inner] = norm_cdf((norm_ppf(u[inner]) - self.r * norm_ppf(v[inner])) / s)
-        out[u <= 0.0] = 0.0
-        out[u >= 1.0] = 1.0
-        return out
+        return _on_inner(u, f, lambda u, f: norm_cdf((norm_ppf(u) - self.r * f.ppf) / s))
 
     def _inverse_conditional(self, t, v):
         if self.r == 1.0:
@@ -237,11 +280,10 @@ def _log_expm1(x):
         return np.where(x > 30.0, x, np.log(np.expm1(np.minimum(x, 30.0))))
 
 
-def _clayton_log_s(u, v, theta):
-    """log(u^-theta + v^-theta - 1), stable for large theta and small u, v."""
-    with np.errstate(divide="ignore"):
-        a = -theta * np.log(u)
-        b = -theta * np.log(v)
+def _clayton_log_s(log_u, log_v, theta):
+    """log(u^-theta + v^-theta - 1) from log u, log v; stable for large theta, small u, v."""
+    a = -theta * log_u
+    b = -theta * log_v
     m = np.maximum(a, b)
     return m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(-m))
 
@@ -260,7 +302,8 @@ class Clayton(Copula):
         u, v = np.broadcast_arrays(u, v)
         out = np.zeros(u.shape)
         inner = (u > 0.0) & (v > 0.0) & (u < 1.0) & (v < 1.0)
-        out[inner] = np.exp(-_clayton_log_s(u[inner], v[inner], self.theta) / self.theta)
+        log_s = _clayton_log_s(np.log(u[inner]), np.log(v[inner]), self.theta)
+        out[inner] = np.exp(-log_s / self.theta)
         # exact uniform margins on the boundary
         at_top_u = (u >= 1.0) & (v > 0.0)
         out[at_top_u] = v[at_top_u]
@@ -268,17 +311,10 @@ class Clayton(Copula):
         out[at_top_v] = u[at_top_v]
         return out
 
-    def _conditional(self, u, v):
-        u, v = np.broadcast_arrays(u, v)
-        out = np.empty(u.shape)
-        inner = (u > 0.0) & (u < 1.0)
+    def _conditional(self, u, f):
         th = self.theta
-        log_s = _clayton_log_s(u[inner], v[inner], th)
-        log_c = -(th + 1.0) * np.log(v[inner]) - (1.0 / th + 1.0) * log_s
-        out[inner] = np.minimum(1.0, np.exp(log_c))
-        out[u <= 0.0] = 0.0
-        out[u >= 1.0] = 1.0
-        return out
+        return _on_inner(u, f, lambda u, f: np.minimum(1.0, np.exp(
+            -(th + 1.0) * f.log - (1.0 / th + 1.0) * _clayton_log_s(np.log(u), f.log, th))))
 
     def _inverse_conditional(self, t, v):
         t, v = np.broadcast_arrays(t, v)
@@ -316,13 +352,8 @@ class SurvivalClayton(Copula):
     def _cdf(self, u, v):
         return np.maximum(0.0, u + v - 1.0 + self._base()._cdf(1.0 - u, 1.0 - v))
 
-    def _conditional(self, u, v):
-        u, v = np.broadcast_arrays(u, v)
-        out = np.empty(u.shape)
-        inner = (u > 0.0) & (u < 1.0)
-        out[inner] = 1.0 - self._base()._conditional(1.0 - u[inner], 1.0 - v[inner])
-        out[u <= 0.0] = 0.0
-        out[u >= 1.0] = 1.0
+    def _conditional(self, u, f):
+        out = _on_inner(u, f, lambda u, f: 1.0 - self._base()._conditional(1.0 - u, f.flip))
         return np.clip(out, 0.0, 1.0)
 
     def _inverse_conditional(self, t, v):

@@ -378,11 +378,17 @@ class Scenario:
 
 
 def _number(value, where: str, kind=float):
-    """``kind(value)``, or a ConfigError naming the field when it is no number."""
+    """``kind(value)``, or a ConfigError naming the field when it is no number
+    (a JSON boolean is none) or, for ``int``, a number with a fraction."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        if isinstance(value, bool):
+            raise TypeError
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    if kind is int and isinstance(value, float) and number != value:
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return number
 
 
 def _numbers(value, where: str, length: int | None = None) -> tuple:
@@ -488,7 +494,7 @@ def scenario_from_dict(doc: dict, base_dir=".") -> Scenario:
         raise ConfigError("scenario is missing field 'model' (or 'models')")
     if isinstance(models, str):
         models = [models]
-    if not isinstance(models, list):
+    if not isinstance(models, list) or not all(isinstance(m, str) for m in models):
         raise ConfigError(
             f"scenario field 'models': expected a model name or a list of names, got {models!r}"
         )
@@ -518,9 +524,12 @@ def scenario_from_dict(doc: dict, base_dir=".") -> Scenario:
         point_copulas = tuple(
             _copula_from_dict(o, f"point_copulas[{i}]") for i, o in enumerate(raw)
         )
+    label = doc.get("label", "scenario")
+    if not isinstance(label, str):
+        raise ConfigError(f"scenario field 'label': expected a string, got {label!r}")
     try:
         return Scenario(
-            label=str(doc.get("label", "scenario")),
+            label=label,
             borrowers=tuple(borrowers),
             models=tuple(models),
             alphas=alphas,

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .copulas import CHECK_TOLS, Copula, Gaussian, Clayton, SurvivalClayton, check_si
+from .copulas import CHECK_TOLS, Copula, Factor, Gaussian, Clayton, SurvivalClayton, check_si
 
 __all__ = [
     "DefaultProfile",
@@ -53,8 +53,6 @@ __all__ = [
 # knots for grid-backed forms and for all envelope / membership checks
 PROFILE_GRID_N = 1001
 
-_TINY = 1e-300
-
 
 def _check_pd(pd: float) -> float:
     if not (0.0 < pd < 1.0) or math.isnan(pd):
@@ -72,8 +70,8 @@ class DefaultProfile(ABC):
         """G(s) on unvalidated arrays with s in [0, 1]."""
 
     @abstractmethod
-    def _cpd(self, t: np.ndarray) -> np.ndarray:
-        """Conditional default probability G'(t) on unvalidated arrays."""
+    def _cpd(self, f: Factor) -> np.ndarray:
+        """Conditional default probability G'(t) on the one-dimensional factor f."""
 
     @abstractmethod
     def group_key(self) -> tuple:
@@ -92,7 +90,7 @@ class DefaultProfile(ABC):
         arr = np.asarray(t, dtype=float)
         if np.any(np.isnan(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
             raise ValueError("t must lie in the open interval (0, 1)")
-        out = np.clip(self._cpd(arr), 0.0, 1.0)
+        out = np.clip(self._cpd(Factor(arr.ravel())), 0.0, 1.0).reshape(arr.shape)
         return float(out) if np.ndim(t) == 0 else out
 
 
@@ -108,8 +106,8 @@ class IndependentProfile(DefaultProfile):
     def _g(self, s):
         return self.pd * s
 
-    def _cpd(self, t):
-        return np.full(np.shape(t), self.pd)
+    def _cpd(self, f):
+        return np.full(f.t.shape, self.pd)
 
     def group_key(self):
         return ("independent", self.pd)
@@ -127,8 +125,8 @@ class ComonotoneProfile(DefaultProfile):
     def _g(self, s):
         return np.maximum(0.0, s - 1.0 + self.pd)
 
-    def _cpd(self, t):
-        return np.where(t >= 1.0 - self.pd, 1.0, 0.0)
+    def _cpd(self, f):
+        return np.where(f.t >= 1.0 - self.pd, 1.0, 0.0)
 
     def group_key(self):
         return ("comonotone", self.pd)
@@ -152,9 +150,10 @@ class CopulaProfile(DefaultProfile):
     def _g(self, s):
         return s - self.copula.survival()._cdf(np.asarray(1.0 - self.pd), np.asarray(s))
 
-    def _cpd(self, t):
-        t = np.clip(np.asarray(t, dtype=float), _TINY, 1.0 - 1e-16)
-        return 1.0 - self.copula.survival()._conditional(np.asarray(1.0 - self.pd), t)
+    def _cpd(self, f):
+        """1 - C_hat(1 - pd | t), reading the shared factor transforms (norm_ppf,
+        log, log(1 - t)) computed once per chunk; the threshold 1 - pd stays a scalar."""
+        return 1.0 - self.copula.survival()._conditional(1.0 - self.pd, f.clipped)
 
     def group_key(self):
         return ("copula", repr(self.copula), self.pd)
@@ -190,8 +189,8 @@ class GridProfile(DefaultProfile):
     def _g(self, s):
         return np.interp(s, self._grid(), self.knots)
 
-    def _cpd(self, t):
-        idx = np.clip((np.asarray(t) * self._n_cells).astype(int), 0, self._n_cells - 1)
+    def _cpd(self, f):
+        idx = np.clip((f.t * self._n_cells).astype(int), 0, self._n_cells - 1)
         return self._slopes()[idx]
 
     def group_key(self):
@@ -255,20 +254,18 @@ class EnvelopeProfile(DefaultProfile):
             object.__setattr__(self, "_segments", cached)
         return cached
 
-    def _cpd(self, t):
-        t = np.asarray(t, dtype=float)
-        flat_t = np.atleast_1d(t)
+    def _cpd(self, f):
         boundaries, piece_members = self._selection()
-        pick = piece_members[np.searchsorted(boundaries, flat_t, side="right")]
-        out = np.empty(flat_t.shape)
+        pick = piece_members[np.searchsorted(boundaries, f.t, side="right")]
+        out = np.empty(f.t.shape)
         for i, m in enumerate(self.members):
             mask = pick == i
             if np.any(mask):
-                out[mask] = m._cpd(flat_t[mask])
+                out[mask] = m._cpd(f[mask])
         for a, b, ga, gb in self.bridges:
-            mask = (flat_t > a) & (flat_t < b)
+            mask = (f.t > a) & (f.t < b)
             out[mask] = (gb - ga) / (b - a)
-        return out.reshape(np.shape(t))
+        return out
 
     def group_key(self):
         return ("envelope", self.take, self.pd, self.bridges,
@@ -353,17 +350,12 @@ class TabulatedPdCurve:
     def pd(self) -> float:
         return float(self.values.mean())
 
-    def _cpd(self, t):
+    def _cpd(self, f):
         n = self.values.size
-        idx = np.clip((np.asarray(t) * n).astype(int), 0, n - 1)
+        idx = np.clip((f.t * n).astype(int), 0, n - 1)
         return self.values[idx]
 
-    def conditional_pd(self, t):
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-            raise ValueError("t must lie in the open interval (0, 1)")
-        out = self._cpd(arr)
-        return float(out) if np.ndim(t) == 0 else out
+    conditional_pd = DefaultProfile.conditional_pd
 
     def group_key(self):
         return ("pd_curve", self.values.tobytes())
@@ -509,7 +501,7 @@ def curve_table(profile, grid_n: int = PROFILE_GRID_N):
     s = np.linspace(0.0, 1.0, grid_n)
     g = profile._g(s)
     t = np.clip(s, 1e-12, 1.0 - 1e-12)
-    p = np.clip(profile._cpd(t), 0.0, 1.0)
+    p = np.clip(profile._cpd(Factor(t)), 0.0, 1.0)
     return s, g, p
 
 

@@ -8,7 +8,9 @@ worker threads execute the chunks.
 Borrowers that share a profile, an LGD specification and an exposure
 weight are pooled: conditionally on the factor their default count is
 binomial, which is what makes million-sample runs over thousand-loan
-portfolios cheap without changing the loss distribution.
+portfolios cheap without changing the loss distribution.  Every group's
+conditional default probability reads one shared ``Factor`` per chunk (per
+quadrature batch on the exact path), so each factor transform runs once.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import binom as _binom
 
+from .copulas import Factor
 from .portfolio import DeterministicLgd
 from .profiles import ComonotoneProfile, IndependentProfile
 
@@ -160,16 +163,16 @@ def simulate_losses(profiles, portfolio, samples: int, seed: int, workers: int =
     groups = _pool(portfolio, profiles)
 
     def chunk(rng, m):
-        t = rng.random(m)
+        f = Factor(rng.random(m))
         loss = np.zeros(m)
         for grp in groups:
             p = grp.profile
             if isinstance(p, IndependentProfile):
                 counts = rng.binomial(grp.n, p.pd, size=m)
             elif isinstance(p, ComonotoneProfile):
-                counts = grp.n * (t >= 1.0 - p.pd).astype(np.int64)
+                counts = grp.n * (f.t >= 1.0 - p.pd).astype(np.int64)
             else:
-                counts = rng.binomial(grp.n, np.clip(p._cpd(t), 0.0, 1.0))
+                counts = rng.binomial(grp.n, np.clip(p._cpd(f), 0.0, 1.0))
             loss += grp.weight * _lgd_total(rng, grp.lgd, counts)
         return loss
 
@@ -240,12 +243,12 @@ def _exact_general(groups, quad_nodes: int) -> LossSample:
     weights = np.zeros(support.size)
     batch = max(1, int(2_000_000 // max(1, support.size)))
     for q0 in range(0, t.size, batch):
-        tq = t[q0:q0 + batch]
-        probs = np.ones((tq.size, 1))
+        f = Factor(t[q0:q0 + batch])
+        probs = np.ones((f.t.size, 1))
         for grp in groups:
-            p = np.clip(grp.profile._cpd(tq), 0.0, 1.0)
+            p = np.clip(grp.profile._cpd(f), 0.0, 1.0)
             pmf = _binom.pmf(np.arange(grp.n + 1)[None, :], grp.n, p[:, None])
-            probs = (probs[:, :, None] * pmf[:, None, :]).reshape(tq.size, -1)
+            probs = (probs[:, :, None] * pmf[:, None, :]).reshape(f.t.size, -1)
         weights += wq[q0:q0 + batch] @ probs
     return _merge_support(support, weights)
 

@@ -79,6 +79,23 @@ class TestBounds:
         more_workers["mc"]["workers"] = 4
         assert _config_hash(scenario_from_dict(more_workers)) == base
 
+    def test_meta_lists_the_warnings_that_fired(self, fixtures_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning) as shown:
+            code, _, _ = run(
+                capsys, "bounds", "--scenario", str(fixtures_dir / "idb_scenario1.json"),
+                "--out", str(out), "--samples", "20000", "--workers", "1",
+            )
+        assert code == 0
+        fired = json.loads((out / "meta.json").read_text())["warnings"]
+        messages = [w["message"] for w in fired]
+        clamp = [m for m in messages if "Venezuela" in m and "clamped" in m]
+        repair = [m for m in messages if "greatest convex minorant" in m]
+        assert clamp and repair
+        assert all(w["category"] == "UserWarning" and w["count"] >= 1 for w in fired)
+        # every recorded warning is still shown to the caller
+        assert sorted(messages) == sorted({str(w.message) for w in shown})
+
     def test_invalid_samples_exit_one(self, fixtures_dir, tmp_path, capsys):
         doc = json.loads((fixtures_dir / "scenario1.json").read_text())
         doc["mc"]["samples"] = 0
@@ -275,6 +292,14 @@ class TestOracle:
         ({"portfolio": {"irb_bounds": 5}}, "irb_bounds"),
         ({"portfolio": {"corr_interval": 0.2}}, "corr_interval"),
         ({"point_copulas": 3}, "point_copulas"),
+        ({"mc": {"samples": True, "seed": 7}}, "mc.samples"),
+        ({"mc": {"samples": 2.5, "seed": 7}}, "mc.samples"),
+        ({"mc": {"samples": 100, "seed": 7.5}}, "mc.seed"),
+        ({"mc": {"samples": 100, "seed": 7, "workers": 1.5}}, "mc.workers"),
+        ({"portfolio": {"n": 2.5}}, "portfolio.n"),
+        ({"portfolio": {"pd": False}}, "portfolio.pd"),
+        ({"label": [1]}, "label"),
+        ({"models": [5]}, "models"),
     ],
 )
 def test_wrong_typed_field_is_named(patch, field, fixtures_dir, tmp_path, capsys):
@@ -289,6 +314,17 @@ def test_wrong_typed_field_is_named(patch, field, fixtures_dir, tmp_path, capsys
     code, _, err = run(capsys, "validate", "--scenario", str(sc))
     assert code == 1
     assert err.startswith("error: ") and field in err
+
+
+def test_integral_float_counts_are_accepted(fixtures_dir, tmp_path, capsys):
+    doc = json.loads((fixtures_dir / "oracle_example.json").read_text())
+    doc["mc"] = {"samples": 1e6, "seed": 7.0, "workers": 2.0}
+    doc["portfolio"]["n"] = 8.0
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", "--scenario", str(sc))
+    assert code == 0
+    assert "8 borrowers" in out and "samples=1000000 seed=7 workers=2" in out
 
 
 def test_missing_scenario_file(tmp_path, capsys):

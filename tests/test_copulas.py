@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from creditbounds.copulas import (
     Clayton,
     Comonotone,
+    Factor,
     Gaussian,
     Independence,
     SurvivalClayton,
@@ -107,6 +110,27 @@ class TestConditional:
         for u0 in (0.25, 0.6, 0.9):
             vals = cop.conditional(np.full_like(v, u0), v)
             assert np.all(np.diff(vals) <= 1e-9)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cop=st.sampled_from(ALL_FAMILIES + [Gaussian(1.0)]),
+        u=st.floats(1e-12, 1.0, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+    )
+    def test_scalar_u_equals_broadcast_u(self, cop, u, seed, n):
+        # default profiles pass their threshold 1 - pd as a scalar against a
+        # shared factor, possibly a masked subset of one with cached transforms
+        rng = np.random.default_rng(seed)
+        v = rng.random(n)
+        v[v == 0.0] = 0.5
+        scalar = cop.conditional(u, v)
+        assert np.array_equal(scalar, cop.conditional(np.full(n, u), v))
+        f = Factor(v)
+        assert np.array_equal(cop._conditional(u, f), scalar)
+        mask = rng.random(n) < rng.random()
+        assert np.array_equal(cop._conditional(u, f[mask]), scalar[mask])
 
 
 class TestInverseConditional:

@@ -12,6 +12,7 @@ from creditbounds.copulas import (
     CHECK_TOLS,
     Clayton,
     Comonotone,
+    Factor,
     Gaussian,
     Independence,
     SurvivalClayton,
@@ -242,8 +243,8 @@ class TestEnvelope:
             env = envelope([ga, cl])
         # the riskier bound follows the Clayton curve in the tail
         t = np.linspace(0.9, 0.999, 31)
-        assert np.allclose(env.upper._cpd(t), cl._cpd(t))
-        assert np.allclose(env.lower._cpd(t), ga._cpd(t))
+        assert np.allclose(env.upper.conditional_pd(t), cl.conditional_pd(t))
+        assert np.allclose(env.lower.conditional_pd(t), ga.conditional_pd(t))
 
     def test_membership_rejects_pd_mismatch(self):
         env = envelope([IndependentProfile(0.02), ComonotoneProfile(0.02)])
@@ -314,3 +315,53 @@ class TestModelRegistry:
         assert np.all(pd * S_GRID >= g_lower - tol)
         assert np.all(g_lower >= g_upper - tol)
         assert np.all(g_upper >= np.maximum(0.0, S_GRID - 1.0 + pd) - tol)
+
+
+def _shared_factor_profiles(pd, lo, point, hi):
+    """Every registered model's bounds, a repaired envelope, a grid profile
+    and a tabulated curve: each kind of conditional that reads a factor."""
+    b = Borrower("b", pd, 1.0, DeterministicLgd(0.1), (lo, hi), point)
+    out = []
+    for spec in MODELS.values():
+        out.extend(spec.bounds(b, Clayton(1.3)))
+    repaired = envelope([gaussian_profile(0.1641, 0.02), clayton_profile(0.7232, 0.02)]).upper
+    assert repaired.bridges
+    knots = np.concatenate([[0.0], np.cumsum(np.linspace(0.0, 2.0 * pd, 50)) / 50])
+    curve = TabulatedPdCurve(np.linspace(0.5, 0.0, 7) ** 2)
+    return out + [repaired, GridProfile(knots, float(knots[-1])), curve]
+
+
+class TestSharedFactor:
+    """One factor per chunk serves every profile: the values must equal
+    per-call factors bit for bit, also on masked subsets of a factor whose
+    transforms are partly cached."""
+
+    @pytest.mark.filterwarnings("ignore:pointwise min of the profile family")
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pd=st.floats(0.001, 0.5),
+        corrs=st.lists(st.floats(0.01, 0.9), min_size=3, max_size=3).map(sorted),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 400),
+    )
+    def test_shared_factor_equals_per_call_route(self, pd, corrs, seed, n):
+        rng = np.random.default_rng(seed)
+        profiles = _shared_factor_profiles(pd, *corrs)
+        t = rng.random(n)
+        t[rng.integers(n)] = 0.0
+        per_call = [p._cpd(Factor(t)) for p in profiles]
+
+        # warm a random part of the transforms, then take a masked subset
+        f = Factor(t)
+        warm = rng.random(len(profiles)) < 0.5
+        for p, w in zip(profiles, warm):
+            if w:
+                p._cpd(f)
+        mask = rng.random(n) < rng.random()
+        sub = f[mask]
+        for p, expected in zip(profiles, per_call):
+            assert np.array_equal(p._cpd(sub), expected[mask])
+        for p, expected in zip(profiles, per_call):
+            assert np.array_equal(p._cpd(f), expected)
+            assert np.array_equal(p.conditional_pd(np.where(t > 0.0, t, 0.5))[t > 0.0],
+                                  np.clip(expected, 0.0, 1.0)[t > 0.0])
