@@ -405,9 +405,9 @@ def _lgd_from_dict(obj: dict, where: str):
     kind = obj["kind"]
     try:
         if kind == "deterministic":
-            return DeterministicLgd(float(obj["value"]))
+            return DeterministicLgd(_number(obj["value"], "value"))
         if kind == "beta":
-            return BetaLgd(float(obj["mean"]), float(obj["vol"]))
+            return BetaLgd(_number(obj["mean"], "mean"), _number(obj["vol"], "vol"))
     except KeyError as exc:
         raise ConfigError(f"{where}: lgd is missing field {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -427,11 +427,11 @@ def _copula_from_dict(obj: dict, where: str):
         if family == "comonotone":
             return cop.Comonotone()
         if family == "gaussian":
-            return cop.Gaussian(float(obj["param"]))
+            return cop.Gaussian(_number(obj["param"], "param"))
         if family == "clayton":
-            return cop.Clayton(float(obj["param"]))
+            return cop.Clayton(_number(obj["param"], "param"))
         if family == "survival_clayton":
-            return cop.SurvivalClayton(float(obj["param"]))
+            return cop.SurvivalClayton(_number(obj["param"], "param"))
     except KeyError:
         raise ConfigError(f"{where}: copula family {family!r} needs a 'param' field") from None
     except (TypeError, ValueError) as exc:

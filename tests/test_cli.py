@@ -300,6 +300,8 @@ class TestOracle:
         ({"portfolio": {"pd": False}}, "portfolio.pd"),
         ({"label": [1]}, "label"),
         ({"models": [5]}, "models"),
+        ({"portfolio": {"lgd": {"kind": "deterministic", "value": True}}}, "portfolio.lgd"),
+        ({"point_copulas": {"family": "gaussian", "param": True}}, "param"),
     ],
 )
 def test_wrong_typed_field_is_named(patch, field, fixtures_dir, tmp_path, capsys):
