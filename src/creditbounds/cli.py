@@ -200,39 +200,52 @@ def cmd_validate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    scenario = _resolve_scenario(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     rows = ["model,side,samples,sup_distance,dkw_epsilon,pass"]
+    exact_rows = []
     all_pass = True
-    for k, model in enumerate(scenario.models):
-        lowers, uppers = bound_profiles(model, scenario.borrowers, scenario.point_copulas)
-        sides = [("lower", lowers)]
-        if any(l.group_key() != u.group_key() for l, u in zip(lowers, uppers)):
-            sides.append(("upper", uppers))
-        for j, (side, profiles) in enumerate(sides):
-            try:
-                exact = exact_loss_distribution(profiles, scenario.borrowers, args.quad_nodes)
-            except ValueError as exc:
-                raise ConfigError(f"oracle check: {exc}") from None
-            mc = simulate_losses(
-                profiles,
-                scenario.borrowers,
-                scenario.mc.samples,
-                scenario.mc.seed + 2 * k + j,
-                scenario.mc.workers,
-            )
-            dist = sup_cdf_distance(mc, exact)
-            eps = dkw_epsilon(scenario.mc.samples)
-            ok = dist <= eps
-            all_pass &= ok
-            rows.append(f"{model},{side},{scenario.mc.samples},{dist!r},{eps!r},{ok}")
-            body = "loss,probability\n" + "".join(
-                f"{float(x)!r},{float(p)!r}\n" for x, p in zip(exact.losses, exact.weights)
-            )
-            (out_dir / f"exact_{model}_{side}.csv").write_text(body, encoding="utf-8")
+    with _recorded_warnings() as fired:
+        scenario = _resolve_scenario(args)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        start = time.perf_counter()
+        for k, model in enumerate(scenario.models):
+            lowers, uppers = bound_profiles(model, scenario.borrowers, scenario.point_copulas)
+            sides = [("lower", lowers)]
+            if any(l.group_key() != u.group_key() for l, u in zip(lowers, uppers)):
+                sides.append(("upper", uppers))
+            for j, (side, profiles) in enumerate(sides):
+                try:
+                    exact = exact_loss_distribution(profiles, scenario.borrowers, args.quad_nodes)
+                except ValueError as exc:
+                    raise ConfigError(f"oracle check: {exc}") from None
+                mc = simulate_losses(
+                    profiles,
+                    scenario.borrowers,
+                    scenario.mc.samples,
+                    scenario.mc.seed + 2 * k + j,
+                    scenario.mc.workers,
+                )
+                dist = sup_cdf_distance(mc, exact)
+                eps = dkw_epsilon(scenario.mc.samples)
+                ok = dist <= eps
+                all_pass &= ok
+                rows.append(f"{model},{side},{scenario.mc.samples},{dist!r},{eps!r},{ok}")
+                exact_rows.append({
+                    "model": model,
+                    "side": side,
+                    "support": exact.size,
+                    "weight_sum_error": abs(float(exact.weights.sum()) - 1.0),
+                })
+                body = "loss,probability\n" + "".join(
+                    f"{float(x)!r},{float(p)!r}\n" for x, p in zip(exact.losses, exact.weights)
+                )
+                (out_dir / f"exact_{model}_{side}.csv").write_text(body, encoding="utf-8")
+        wall = time.perf_counter() - start
     (out_dir / "oracle_report.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_meta(
+        out_dir, scenario, wall,
+        {"quad_nodes": args.quad_nodes, "exact": exact_rows, "warnings": fired},
+    )
     sys.stdout.write("\n".join(rows) + "\n")
     return 0 if all_pass else 2
 

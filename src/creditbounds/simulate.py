@@ -11,10 +11,17 @@ binomial, which is what makes million-sample runs over thousand-loan
 portfolios cheap without changing the loss distribution.  Every group's
 conditional default probability reads one shared ``Factor`` per chunk (per
 quadrature batch on the exact path), so each factor transform runs once.
+
+The exact path integrates the product of the groups' conditional binomial
+pmfs over the factor.  It splits the pooled groups into a prefix A and a
+suffix B of about equal combination counts and contracts the quadrature
+with one matrix product, weights[a, b] = sum_q w_q P_A[q, a] P_B[q, b], so
+no (nodes x support) array is ever built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -225,14 +232,42 @@ def _exact_comonotone(groups) -> LossSample:
     return _merge_support(np.asarray(support), np.asarray(weights))
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(quad_nodes: int):
+    """Read-only Gauss-Legendre nodes and weights on (0, 1)."""
+    x, w = np.polynomial.legendre.leggauss(quad_nodes)
+    t, wq = 0.5 * (x + 1.0), 0.5 * w
+    t.setflags(write=False)
+    wq.setflags(write=False)
+    return t, wq
+
+
+def _combination_pmf(f: Factor, groups) -> np.ndarray:
+    """(nodes x combinations) conditional pmf of the groups' default counts,
+    the last group varying fastest."""
+    probs = np.ones((f.t.size, 1))
+    for grp in groups:
+        p = np.clip(grp.profile._cpd(f), 0.0, 1.0)
+        pmf = _binom.pmf(np.arange(grp.n + 1)[None, :], grp.n, p[:, None])
+        probs = (probs[:, :, None] * pmf[:, None, :]).reshape(f.t.size, -1)
+    return probs
+
+
 def _exact_general(groups, quad_nodes: int) -> LossSample:
+    sizes = [g.n + 1 for g in groups]
     if all(isinstance(g.profile, IndependentProfile) for g in groups):
-        # the integrand does not depend on the factor: one node is exact
+        # the integrand does not depend on the factor: one node is exact,
+        # and a prefix holding every group keeps the plain product
         t, wq = np.array([0.5]), np.array([1.0])
+        split = len(groups)
     else:
-        x, w = np.polynomial.legendre.leggauss(quad_nodes)
-        t = 0.5 * (x + 1.0)
-        wq = 0.5 * w
+        t, wq = _gauss_legendre(quad_nodes)
+        # the prefix/suffix cut with the most even halves
+        split = min(
+            range(len(groups) + 1),
+            key=lambda j: max(math.prod(sizes[:j]), math.prod(sizes[j:])),
+        )
+    na, nb = math.prod(sizes[:split]), math.prod(sizes[split:])
 
     # support over default-count combinations across pooled groups
     support = np.array([0.0])
@@ -240,17 +275,16 @@ def _exact_general(groups, quad_nodes: int) -> LossSample:
         unit = grp.weight * grp.lgd.value
         support = (support[:, None] + unit * np.arange(grp.n + 1)[None, :]).ravel()
 
-    weights = np.zeros(support.size)
-    batch = max(1, int(2_000_000 // max(1, support.size)))
+    # weights[a, b] = sum_q wq[q] P_A[q, a] P_B[q, b] over prefix A and
+    # suffix B; its row-major ravel is the support order
+    weights = np.zeros((na, nb))
+    batch = max(1, 2_000_000 // max(na, nb))
     for q0 in range(0, t.size, batch):
         f = Factor(t[q0:q0 + batch])
-        probs = np.ones((f.t.size, 1))
-        for grp in groups:
-            p = np.clip(grp.profile._cpd(f), 0.0, 1.0)
-            pmf = _binom.pmf(np.arange(grp.n + 1)[None, :], grp.n, p[:, None])
-            probs = (probs[:, :, None] * pmf[:, None, :]).reshape(f.t.size, -1)
-        weights += wq[q0:q0 + batch] @ probs
-    return _merge_support(support, weights)
+        pa = _combination_pmf(f, groups[:split])
+        pb = _combination_pmf(f, groups[split:])
+        weights += (pa * wq[q0:q0 + batch, None]).T @ pb
+    return _merge_support(support, weights.ravel())
 
 
 def exact_loss_distribution(profiles, portfolio, quad_nodes: int = 256) -> LossSample:
@@ -261,7 +295,10 @@ def exact_loss_distribution(profiles, portfolio, quad_nodes: int = 256) -> LossS
     factor with ``quad_nodes``-point Gauss-Legendre quadrature (one node when
     every profile is independent) and convolves the pooled binomial default
     counts, for at most 2**20 support points: the product of group size + 1
-    over pooled groups.
+    over pooled groups, checked before anything is built.  The quadrature
+    is one matrix product between the conditional pmfs of a prefix and a
+    suffix of the groups, each about the square root of the support in
+    size; an all-independent set keeps every group in the prefix.
     The returned weights sum to one within 1e-12.
     """
     _validate_alignment(profiles, portfolio)

@@ -217,6 +217,18 @@ class TestOracle:
         assert all(line.endswith("True") for line in report[1:])
         exact = np.loadtxt(out / "exact_gaussian_lower.csv", delimiter=",", skiprows=1)
         assert exact[:, 1].sum() == pytest.approx(1.0, abs=1e-12)
+        meta = json.loads((out / "meta.json").read_text())
+        scenario = scenario_from_dict(
+            json.loads((fixtures_dir / "oracle_example.json").read_text())
+        )
+        assert meta["config_hash"] == _config_hash(scenario)
+        assert meta["environment"]["numpy"] == np.__version__
+        assert meta["warnings"] == []
+        assert meta["quad_nodes"] == 256
+        [row] = meta["exact"]
+        assert (row["model"], row["side"], row["support"]) == ("gaussian", "lower", 9)
+        assert row["weight_sum_error"] == pytest.approx(abs(exact[:, 1].sum() - 1.0), abs=1e-15)
+        assert row["weight_sum_error"] <= 1e-12
 
     def test_large_portfolio_rejected(self, fixtures_dir, tmp_path, capsys):
         # 25 homogeneous borrowers pool into one group: 26 support points

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+from creditbounds.copulas import Clayton, Factor
 from creditbounds.portfolio import BetaLgd, Borrower, DeterministicLgd, homogeneous_portfolio
 from creditbounds.profiles import (
+    MODELS,
     ComonotoneProfile,
     IndependentProfile,
     clayton_profile,
@@ -14,7 +16,9 @@ from creditbounds.profiles import (
 )
 from creditbounds.simulate import (
     LossSample,
+    _gauss_legendre,
     _merge_support,
+    _pool,
     batch_standard_error,
     dkw_epsilon,
     exact_loss_distribution,
@@ -27,6 +31,51 @@ from creditbounds.simulate import (
 PORT = homogeneous_portfolio(1000, 0.02, DeterministicLgd(0.1))
 IND_PROFILES = [IndependentProfile(0.02)] * 1000
 COM_PROFILES = [ComonotoneProfile(0.02)] * 1000
+
+
+def _node_by_node(profiles, borrowers, quad_nodes):
+    """Exact distribution from the full product of the group pmfs at every
+    quadrature node, reduced over the nodes afterwards."""
+    groups = _pool(borrowers, profiles)
+    if all(isinstance(g.profile, IndependentProfile) for g in groups):
+        t, wq = np.array([0.5]), np.array([1.0])
+    else:
+        x, w = np.polynomial.legendre.leggauss(quad_nodes)
+        t, wq = 0.5 * (x + 1.0), 0.5 * w
+    f = Factor(t)
+    support, probs = np.array([0.0]), np.ones((t.size, 1))
+    for grp in groups:
+        counts = np.arange(grp.n + 1)
+        support = (support[:, None] + grp.weight * grp.lgd.value * counts[None, :]).ravel()
+        p = np.clip(grp.profile._cpd(f), 0.0, 1.0)
+        pmf = binom.pmf(counts[None, :], grp.n, p[:, None])
+        probs = (probs[:, :, None] * pmf[:, None, :]).reshape(t.size, -1)
+    return _merge_support(support, wq @ probs)
+
+
+@st.composite
+def mixed_groups(draw, max_support=2**14):
+    """2-12 borrower groups of 1-6 each, every group under a registered
+    model's lower or upper profile, with at most ``max_support`` default-count
+    combinations."""
+    k = draw(st.integers(2, 12))
+    room = max_support
+    groups = []
+    for i in range(k):
+        # leave at least two combinations for each group still to come
+        n = draw(st.integers(1, min(6, room // 2 ** (k - i - 1) - 1)))
+        room //= n + 1
+        groups.append((
+            n,
+            draw(st.floats(0.005, 0.5)),
+            draw(st.floats(0.1, 3.0)),
+            draw(st.sampled_from([0.2, 0.45, 1.0])),
+            draw(st.sampled_from(tuple(MODELS))),
+            draw(st.sampled_from([0, 1])),
+            draw(st.floats(0.05, 0.4)),
+            draw(st.floats(0.0, 0.2)),
+        ))
+    return groups
 
 
 class TestSimulateLosses:
@@ -206,6 +255,69 @@ class TestExactDistribution:
         for nodes in (8, 4097):
             with pytest.raises(ValueError, match="quad_nodes"):
                 exact_loss_distribution([gaussian_profile(0.2, 0.1)] * 5, port5, quad_nodes=nodes)
+
+    @pytest.mark.filterwarnings("ignore:pointwise min of the profile family")
+    @settings(max_examples=120, deadline=None)
+    @given(mixed_groups(), st.sampled_from([16, 64, 256]))
+    def test_split_contraction_equals_the_node_by_node_product(self, groups, quad_nodes):
+        total = sum(n * amount for n, _, amount, *_ in groups)
+        borrowers, profiles = [], []
+        for n, pd, amount, lgd, model, side, corr_lo, width in groups:
+            b = Borrower(
+                f"b{len(borrowers)}", pd, amount / total, DeterministicLgd(lgd),
+                (corr_lo, corr_lo + width), corr_lo + width / 2,
+            )
+            borrowers += [b] * n
+            profiles += [MODELS[model].bounds(b, Clayton(b.theta_point))[side]] * n
+        # all-comonotone sets take the closed form, not the quadrature
+        assume(not all(isinstance(p, ComonotoneProfile) for p in profiles))
+        ex = exact_loss_distribution(profiles, borrowers, quad_nodes)
+        reference = _node_by_node(profiles, borrowers, quad_nodes)
+        assert np.array_equal(ex.losses, reference.losses)
+        np.testing.assert_allclose(ex.weights, reference.weights, rtol=1e-13, atol=1e-16)
+
+    def test_twenty_distinct_exposures_fill_the_cap_on_an_integer_lattice(self):
+        # exposures k/210 make 2^20 default combinations over 211 losses
+        borrowers = [
+            Borrower(f"b{k}", 0.1, k / 210, DeterministicLgd(1.0), (0.1, 0.2), 0.15)
+            for k in range(1, 21)
+        ]
+        profile = gaussian_profile(0.2, 0.1)
+        ex = exact_loss_distribution([profile] * 20, borrowers)
+        assert len(_pool(borrowers, [profile] * 20)) == 20
+        assert np.allclose(ex.losses, np.arange(211) / 210, rtol=0.0, atol=1e-12)
+
+        # reference: convolve borrower by borrower on the loss lattice k at each node
+        x, w = np.polynomial.legendre.leggauss(256)
+        t, wq = 0.5 * (x + 1.0), 0.5 * w
+        reference = np.zeros(211)
+        for p, wt in zip(profile.conditional_pd(t), wq):
+            pmf = np.ones(1)
+            for k in range(1, 21):
+                step = np.zeros(k + 1)
+                step[0], step[k] = 1.0 - p, p
+                pmf = np.convolve(pmf, step)
+            reference += wt * pmf
+        np.testing.assert_allclose(ex.weights, reference, rtol=1e-12, atol=0.0)
+
+    def test_quadrature_nodes_are_computed_once_and_read_only(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(n):
+            calls.append(n)
+            return leggauss(n)
+
+        _gauss_legendre.cache_clear()
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        port = homogeneous_portfolio(8, 0.1, DeterministicLgd(1.0))
+        for corr in (0.2, 0.3):
+            exact_loss_distribution([gaussian_profile(corr, 0.1)] * 8, port)
+        assert calls == [256]
+        t, wq = _gauss_legendre(256)
+        assert not t.flags.writeable and not wq.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            t[0] = 0.5
 
 
 class TestLossSample:
