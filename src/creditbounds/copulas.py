@@ -8,7 +8,10 @@ argument, which is what makes the factor construction monotone.
 
 Every object is a frozen dataclass; operations are pure and accept scalars
 or numpy arrays (broadcasting elementwise, returning floats for scalar
-input).
+input).  Each boundary rule is stated once: ``_on_inner`` for the first
+argument of a conditional and its inverse, ``_with_margins`` for the edges
+of a CDF.  Both conditionals read v through a ``Factor``, whose transforms
+(norm_ppf, log, 1 - v) are computed once however many conditionals read it.
 """
 
 from __future__ import annotations
@@ -44,13 +47,10 @@ class CheckTolerances:
 
     ``absolute`` is the slack applied to sign conditions (2-increasingness,
     concavity, pointwise ordering) whose exact value is zero up to floating
-    point noise.  ``grid_step_factor`` multiplies the grid step wherever a
-    discretized quantity (e.g. a Lipschitz difference quotient) picks up a
-    genuine O(h) discretization term.
+    point noise.
     """
 
     absolute: float = 1e-9
-    grid_step_factor: float = 1.0
 
 
 CHECK_TOLS = CheckTolerances()
@@ -127,20 +127,37 @@ def _on_inner(u, f: Factor, fn):
     return out
 
 
+def _with_margins(u, v, fn):
+    """fn(u, v) inside (0, 1)^2; on the edges the copula's exact margins:
+    0 where u or v is 0, the other argument where one of them is 1."""
+    u, v = np.broadcast_arrays(u, v)
+    out = np.zeros(u.shape)
+    inner = (u > 0.0) & (v > 0.0) & (u < 1.0) & (v < 1.0)
+    out[inner] = fn(u[inner], v[inner])
+    at_top_u = (u >= 1.0) & (v > 0.0)
+    out[at_top_u] = v[at_top_u]
+    at_top_v = (v >= 1.0) & (u > 0.0)
+    out[at_top_v] = u[at_top_v]
+    return out
+
+
 class Copula(ABC):
     """Bivariate copula interface: CDF, conditionals, survival transform."""
 
     @abstractmethod
     def _cdf(self, u, v):
-        """C(u, v) on validated arrays."""
+        """C(u, v) on validated arrays; families with a closed form only inside
+        the unit square take their edges from ``_with_margins``."""
 
     @abstractmethod
     def _conditional(self, u, f: Factor):
-        """C(u | v) = d C(u, v) / dv for validated u and the factor f of v in (0, 1)."""
+        """C(u | v) = d C(u, v) / dv for validated u and the factor f of v in (0, 1);
+        continuous conditionals take the edges u in {0, 1} from ``_on_inner``."""
 
     @abstractmethod
-    def _inverse_conditional(self, t, v):
-        """Generalized inverse of u -> C(u | v) on validated arrays."""
+    def _inverse_conditional(self, t, f: Factor):
+        """Generalized inverse of u -> C(u | v) for validated t and the factor f of v;
+        continuous conditionals take the edges t in {0, 1} from ``_on_inner``."""
 
     @abstractmethod
     def survival(self) -> "Copula":
@@ -171,7 +188,7 @@ class Copula(ABC):
         """Evaluate inf{u : C(u | v) >= t} for t in [0, 1], v in (0, 1)."""
         t = _as_unit(t, "t")
         v = _as_open_unit(v, "v")
-        return _scalar_or_array(self._inverse_conditional(t, v), t, v)
+        return _scalar_or_array(self._inverse_conditional(t, Factor(v)), t, v)
 
 
 @dataclass(frozen=True)
@@ -184,8 +201,7 @@ class Independence(Copula):
     def _conditional(self, u, f):
         return np.broadcast_arrays(u, f.t)[0].copy()
 
-    def _inverse_conditional(self, t, v):
-        return np.broadcast_arrays(t, v)[0].copy()
+    _inverse_conditional = _conditional  # u -> C(u | v) = u is its own inverse
 
     def survival(self):
         return Independence()
@@ -204,8 +220,9 @@ class Comonotone(Copula):
     def _conditional(self, u, f):
         return np.where(u >= f.t, 1.0, 0.0)
 
-    def _inverse_conditional(self, t, v):
-        t, v = np.broadcast_arrays(t, v)
+    def _inverse_conditional(self, t, f):
+        # the step 1{u >= v} reaches every t in (0, 1] at u = v
+        t, v = np.broadcast_arrays(t, f.t)
         return np.where(t > 0.0, v, 0.0)
 
     def survival(self):
@@ -230,40 +247,25 @@ class Gaussian(Copula):
         if not (0.0 <= self.r <= 1.0) or math.isnan(self.r):
             raise ValueError(f"Gaussian copula parameter must lie in [0, 1], got {self.r}")
 
+    # r = 0 is the independence copula and r = 1 the comonotone one
     def _cdf(self, u, v):
         if self.r == 0.0:
-            return u * v
+            return Independence()._cdf(u, v)
         if self.r == 1.0:
-            return np.minimum(u, v)
-        u, v = np.broadcast_arrays(u, v)
-        out = np.zeros(u.shape)
-        inner = (u > 0.0) & (v > 0.0)
-        out[inner] = bvn_cdf(norm_ppf(u[inner]), norm_ppf(v[inner]), self.r)
-        # uniform margins are exact on the boundary
-        at_top_u = (u >= 1.0) & (v > 0.0)
-        out[at_top_u] = v[at_top_u]
-        at_top_v = (v >= 1.0) & (u > 0.0)
-        out[at_top_v] = u[at_top_v]
-        return out
+            return Comonotone()._cdf(u, v)
+        return _with_margins(u, v, lambda u, v: bvn_cdf(norm_ppf(u), norm_ppf(v), self.r))
 
     def _conditional(self, u, f):
         if self.r == 1.0:
-            return np.where(u >= f.t, 1.0, 0.0)
+            return Comonotone()._conditional(u, f)
         s = math.sqrt(1.0 - self.r * self.r)
         return _on_inner(u, f, lambda u, f: norm_cdf((norm_ppf(u) - self.r * f.ppf) / s))
 
-    def _inverse_conditional(self, t, v):
+    def _inverse_conditional(self, t, f):
         if self.r == 1.0:
-            t, v = np.broadcast_arrays(t, v)
-            return np.where(t > 0.0, v, 0.0)
-        t, v = np.broadcast_arrays(t, v)
-        out = np.empty(t.shape)
-        inner = (t > 0.0) & (t < 1.0)
+            return Comonotone()._inverse_conditional(t, f)
         s = math.sqrt(1.0 - self.r * self.r)
-        out[inner] = norm_cdf(self.r * norm_ppf(v[inner]) + s * norm_ppf(t[inner]))
-        out[t <= 0.0] = 0.0
-        out[t >= 1.0] = 1.0
-        return out
+        return _on_inner(t, f, lambda t, f: norm_cdf(self.r * f.ppf + s * norm_ppf(t)))
 
     def survival(self):
         # the bivariate normal is radially symmetric
@@ -299,35 +301,20 @@ class Clayton(Copula):
             raise ValueError(f"Clayton parameter must be a finite positive real, got {self.theta}")
 
     def _cdf(self, u, v):
-        u, v = np.broadcast_arrays(u, v)
-        out = np.zeros(u.shape)
-        inner = (u > 0.0) & (v > 0.0) & (u < 1.0) & (v < 1.0)
-        log_s = _clayton_log_s(np.log(u[inner]), np.log(v[inner]), self.theta)
-        out[inner] = np.exp(-log_s / self.theta)
-        # exact uniform margins on the boundary
-        at_top_u = (u >= 1.0) & (v > 0.0)
-        out[at_top_u] = v[at_top_u]
-        at_top_v = (v >= 1.0) & (u > 0.0)
-        out[at_top_v] = u[at_top_v]
-        return out
+        th = self.theta
+        return _with_margins(u, v, lambda u, v: np.exp(
+            -_clayton_log_s(np.log(u), np.log(v), th) / th))
 
     def _conditional(self, u, f):
         th = self.theta
         return _on_inner(u, f, lambda u, f: np.minimum(1.0, np.exp(
             -(th + 1.0) * f.log - (1.0 / th + 1.0) * _clayton_log_s(np.log(u), f.log, th))))
 
-    def _inverse_conditional(self, t, v):
-        t, v = np.broadcast_arrays(t, v)
-        out = np.empty(t.shape)
-        inner = (t > 0.0) & (t < 1.0)
-        th = self.theta
+    def _inverse_conditional(self, t, f):
         # u^-theta = v^-theta (t^(-theta/(theta+1)) - 1) + 1
-        log_w = _log_expm1(-th / (th + 1.0) * np.log(t[inner]))
-        log_uinv = np.logaddexp(-th * np.log(v[inner]) + log_w, 0.0)
-        out[inner] = np.exp(-log_uinv / th)
-        out[t <= 0.0] = 0.0
-        out[t >= 1.0] = 1.0
-        return out
+        th = self.theta
+        return _on_inner(t, f, lambda t, f: np.exp(-np.logaddexp(
+            -th * f.log + _log_expm1(-th / (th + 1.0) * np.log(t)), 0.0) / th))
 
     def survival(self):
         return SurvivalClayton(self.theta)
@@ -343,8 +330,7 @@ class SurvivalClayton(Copula):
     theta: float
 
     def __post_init__(self):
-        if not (self.theta > 0.0) or math.isinf(self.theta):
-            raise ValueError(f"Clayton parameter must be a finite positive real, got {self.theta}")
+        self._base()  # the Clayton constructor checks theta
 
     def _base(self):
         return Clayton(self.theta)
@@ -356,16 +342,10 @@ class SurvivalClayton(Copula):
         out = _on_inner(u, f, lambda u, f: 1.0 - self._base()._conditional(1.0 - u, f.flip))
         return np.clip(out, 0.0, 1.0)
 
-    def _inverse_conditional(self, t, v):
+    def _inverse_conditional(self, t, f):
         # C(u|v) = 1 - C_cl(1-u | 1-v) is continuous and strictly increasing
         # in u, so the generalized inverse reduces to the Clayton one.
-        t, v = np.broadcast_arrays(t, v)
-        out = np.empty(t.shape)
-        inner = (t > 0.0) & (t < 1.0)
-        out[inner] = 1.0 - self._base()._inverse_conditional(1.0 - t[inner], 1.0 - v[inner])
-        out[t <= 0.0] = 0.0
-        out[t >= 1.0] = 1.0
-        return out
+        return _on_inner(t, f, lambda t, f: 1.0 - self._base()._inverse_conditional(1.0 - t, f.flip))
 
     def survival(self):
         return Clayton(self.theta)

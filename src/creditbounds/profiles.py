@@ -20,11 +20,13 @@ import math
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .copulas import CHECK_TOLS, Copula, Factor, Gaussian, Clayton, SurvivalClayton, check_si
+from .copulas import _as_open_unit, _as_unit, _scalar_or_array
 
 __all__ = [
     "DefaultProfile",
@@ -65,6 +67,9 @@ class DefaultProfile(ABC):
 
     pd: float
 
+    def __post_init__(self):
+        _check_pd(self.pd)
+
     @abstractmethod
     def _g(self, s: np.ndarray) -> np.ndarray:
         """G(s) on unvalidated arrays with s in [0, 1]."""
@@ -79,19 +84,14 @@ class DefaultProfile(ABC):
 
     def g(self, s):
         """Evaluate G(s) for s in [0, 1]."""
-        arr = np.asarray(s, dtype=float)
-        if np.any(np.isnan(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("s must lie in [0, 1]")
-        out = self._g(arr)
-        return float(out) if np.ndim(s) == 0 else out
+        s = _as_unit(s, "s")
+        return _scalar_or_array(self._g(s), s)
 
     def conditional_pd(self, t):
         """Conditional default probability at factor level t in (0, 1)."""
-        arr = np.asarray(t, dtype=float)
-        if np.any(np.isnan(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
-            raise ValueError("t must lie in the open interval (0, 1)")
-        out = np.clip(self._cpd(Factor(arr.ravel())), 0.0, 1.0).reshape(arr.shape)
-        return float(out) if np.ndim(t) == 0 else out
+        t = _as_open_unit(t, "t")
+        return _scalar_or_array(
+            np.clip(self._cpd(Factor(t.ravel())), 0.0, 1.0).reshape(t.shape), t)
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,6 @@ class IndependentProfile(DefaultProfile):
     """G(s) = pd * s: defaults carry no information about the factor."""
 
     pd: float
-
-    def __post_init__(self):
-        _check_pd(self.pd)
 
     def _g(self, s):
         return self.pd * s
@@ -118,9 +115,6 @@ class ComonotoneProfile(DefaultProfile):
     """G(s) = (s - 1 + pd)^+ : default is a deterministic function of the factor."""
 
     pd: float
-
-    def __post_init__(self):
-        _check_pd(self.pd)
 
     def _g(self, s):
         return np.maximum(0.0, s - 1.0 + self.pd)
@@ -143,9 +137,6 @@ class CopulaProfile(DefaultProfile):
 
     copula: Copula
     pd: float
-
-    def __post_init__(self):
-        _check_pd(self.pd)
 
     def _g(self, s):
         return s - self.copula.survival()._cdf(np.asarray(1.0 - self.pd), np.asarray(s))
@@ -171,7 +162,7 @@ class GridProfile(DefaultProfile):
     pd: float
 
     def __post_init__(self):
-        _check_pd(self.pd)
+        super().__post_init__()
         object.__setattr__(self, "knots", np.asarray(self.knots, dtype=float))
         if self.knots.ndim != 1 or self.knots.size < 2:
             raise ValueError("grid profile needs at least two knot values")
@@ -212,7 +203,7 @@ class EnvelopeProfile(DefaultProfile):
     bridges: tuple = field(default_factory=tuple)  # (a, b, g(a), g(b)) segments
 
     def __post_init__(self):
-        _check_pd(self.pd)
+        super().__post_init__()
         if self.take not in ("max", "min"):
             raise ValueError("take must be 'max' or 'min'")
 
@@ -232,30 +223,27 @@ class EnvelopeProfile(DefaultProfile):
                 out[mask] = np.minimum(out[mask], chord)
         return out.reshape(np.shape(s))
 
+    @cached_property
     def _selection(self):
-        """Cached piecewise member choice: (boundaries, member index per piece).
+        """Piecewise member choice: (boundaries, member index per piece).
 
         Boundaries are located on a fine grid once; inside a bridge the
         choice is irrelevant because the chord slope overrides the
-        derivative there.
+        derivative there.  Threads that compute it at once get equal arrays.
         """
-        cached = getattr(self, "_segments", None)
-        if cached is None:
-            # cell midpoints: all members tie exactly at s = 0 and s = 1,
-            # which would otherwise corrupt the first and last piece
-            n = 4 * PROFILE_GRID_N
-            s = (np.arange(n) + 0.5) / n
-            vals = self._member_values(s)
-            pick = vals.argmax(axis=0) if self.take == "max" else vals.argmin(axis=0)
-            change = np.flatnonzero(np.diff(pick))
-            boundaries = 0.5 * (s[change] + s[change + 1])
-            piece_members = np.concatenate([pick[change], [pick[-1]]])
-            cached = (boundaries, piece_members)
-            object.__setattr__(self, "_segments", cached)
-        return cached
+        # cell midpoints: all members tie exactly at s = 0 and s = 1,
+        # which would otherwise corrupt the first and last piece
+        n = 4 * PROFILE_GRID_N
+        s = (np.arange(n) + 0.5) / n
+        vals = self._member_values(s)
+        pick = vals.argmax(axis=0) if self.take == "max" else vals.argmin(axis=0)
+        change = np.flatnonzero(np.diff(pick))
+        boundaries = 0.5 * (s[change] + s[change + 1])
+        piece_members = np.concatenate([pick[change], [pick[-1]]])
+        return boundaries, piece_members
 
     def _cpd(self, f):
-        boundaries, piece_members = self._selection()
+        boundaries, piece_members = self._selection
         pick = piece_members[np.searchsorted(boundaries, f.t, side="right")]
         out = np.empty(f.t.shape)
         for i, m in enumerate(self.members):
@@ -289,9 +277,9 @@ class ProfileEnvelope:
         return self.lower.pd
 
 
-def profile_from_copula(copula: Copula, pd: float, *, si_grid_n: int = 64) -> CopulaProfile:
+def profile_from_copula(copula: Copula, pd: float) -> CopulaProfile:
     """Build the default profile of a threshold model with the given SI copula."""
-    if not check_si(copula, si_grid_n):
+    if not check_si(copula):
         raise ValueError(f"{copula!r} is not stochastically increasing; cannot build a profile")
     return CopulaProfile(copula, _check_pd(pd))
 
@@ -339,11 +327,9 @@ class TabulatedPdCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = _as_unit(self.values, "conditional default probabilities")
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("expected a one-dimensional array of probabilities")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("conditional default probabilities must lie in [0, 1]")
         object.__setattr__(self, "values", arr)
 
     @property
@@ -367,9 +353,9 @@ class TabulatedPdCurve:
         return GridProfile(knots, float(knots[-1]))
 
 
-def validate_profile(profile, grid_n: int = PROFILE_GRID_N) -> None:
+def validate_profile(profile) -> None:
     """Raise if the profile violates the default-integral-function axioms."""
-    s = np.linspace(0.0, 1.0, grid_n)
+    s = np.linspace(0.0, 1.0, PROFILE_GRID_N)
     g = profile._g(s)
     h = s[1] - s[0]
     tol = CHECK_TOLS.absolute
@@ -380,7 +366,7 @@ def validate_profile(profile, grid_n: int = PROFILE_GRID_N) -> None:
     steps = np.diff(g)
     if np.any(steps < -tol):
         raise ValueError("G is not increasing")
-    if np.any(steps > h * CHECK_TOLS.grid_step_factor + tol):
+    if np.any(steps > h + tol):
         raise ValueError("G violates the unit Lipschitz bound")
     second = g[2:] - 2.0 * g[1:-1] + g[:-2]
     if np.any(second < -tol):
@@ -416,7 +402,7 @@ def _lower_hull_indices(x: np.ndarray, y: np.ndarray) -> list:
 _SLOPE_DROP_TOL = 1e-7
 
 
-def _min_envelope(members: tuple, pd: float) -> DefaultProfile:
+def _min_envelope(members: tuple, pd: float, s: np.ndarray, values: np.ndarray) -> DefaultProfile:
     fine = np.linspace(0.0, 1.0, 4 * PROFILE_GRID_N)
     fine_values = np.stack([m._g(fine) for m in members])
     idx = _dominating_member(fine_values, "min")
@@ -428,8 +414,7 @@ def _min_envelope(members: tuple, pd: float) -> DefaultProfile:
     # repair: greatest convex minorant, replacing kinked stretches by chords.
     # The hull is anchored on the standard profile grid so that the repaired
     # values are a convex sequence exactly where the axioms are checked.
-    s = np.linspace(0.0, 1.0, PROFILE_GRID_N)
-    raw = np.stack([m._g(s) for m in members]).min(axis=0)
+    raw = values.min(axis=0)
     hull = _lower_hull_indices(s, raw)
     bridges = []
     for a, b in zip(hull[:-1], hull[1:]):
@@ -445,7 +430,7 @@ def _min_envelope(members: tuple, pd: float) -> DefaultProfile:
     return EnvelopeProfile(members, "min", pd, tuple(bridges))
 
 
-def envelope(profiles, grid_n: int = PROFILE_GRID_N) -> ProfileEnvelope:
+def envelope(profiles) -> ProfileEnvelope:
     """Lower/upper default integral bounds of a non-empty profile family.
 
     All members must share the same default probability.  Whenever one
@@ -463,18 +448,18 @@ def envelope(profiles, grid_n: int = PROFILE_GRID_N) -> ProfileEnvelope:
     if len(members) == 1:
         return ProfileEnvelope(members[0], members[0])
 
-    s = np.linspace(0.0, 1.0, grid_n)
+    s = np.linspace(0.0, 1.0, PROFILE_GRID_N)
     values = np.stack([m._g(s) for m in members])
 
     idx = _dominating_member(values, "max")
     lower = members[idx] if idx is not None else EnvelopeProfile(members, "max", pd)
-    upper = _min_envelope(members, pd)
+    upper = _min_envelope(members, pd, s, values)
     validate_profile(lower)
     validate_profile(upper)
     return ProfileEnvelope(lower, upper)
 
 
-def check_membership(profile, env: ProfileEnvelope, grid_n: int = PROFILE_GRID_N) -> bool:
+def check_membership(profile, env: ProfileEnvelope) -> bool:
     """True iff the profile lies between the envelope bounds on the grid.
 
     The upper envelope bounds profiles from below in G (it is the pointwise
@@ -483,7 +468,7 @@ def check_membership(profile, env: ProfileEnvelope, grid_n: int = PROFILE_GRID_N
     """
     if abs(profile.pd - env.pd) > 1e-12:
         raise ValueError("profile and envelope default probabilities differ")
-    s = np.linspace(0.0, 1.0, grid_n)
+    s = np.linspace(0.0, 1.0, PROFILE_GRID_N)
     g = profile._g(s)
     tol = CHECK_TOLS.absolute
     return bool(
@@ -491,14 +476,14 @@ def check_membership(profile, env: ProfileEnvelope, grid_n: int = PROFILE_GRID_N
     )
 
 
-def curve_table(profile, grid_n: int = PROFILE_GRID_N):
+def curve_table(profile):
     """(s, G(s), conditional_pd(s)) columns on a uniform grid, for CSV export.
 
     The derivative column is evaluated just inside the open interval at the
     endpoints, where the conditional default probability itself is defined
     only almost everywhere.
     """
-    s = np.linspace(0.0, 1.0, grid_n)
+    s = np.linspace(0.0, 1.0, PROFILE_GRID_N)
     g = profile._g(s)
     t = np.clip(s, 1e-12, 1.0 - 1e-12)
     p = np.clip(profile._cpd(Factor(t)), 0.0, 1.0)

@@ -124,25 +124,14 @@ def stop_loss_curve(sample: LossSample, thresholds) -> np.ndarray:
     return suffix_xw[idx] - ks * suffix_w[idx]
 
 
-def _batch_curves(sample: LossSample, ks: np.ndarray, n_batches: int = _N_BATCHES):
-    if sample.weights is not None:
-        return None
-    parts = np.array_split(sample.losses, n_batches)
-    return np.stack([stop_loss_curve(LossSample(p), ks) for p in parts])
-
-
-def check_cx_dominance(
-    a: LossSample,
-    b: LossSample,
-    thresholds=None,
-    slack_multiplier: float = 3.0,
-) -> str:
+def check_cx_dominance(a: LossSample, b: LossSample, thresholds=None) -> str:
     """Empirical convex-order test: is a <=_cx b?
 
     Returns ``"dominates"`` when every stop-loss value of ``a`` stays below
-    that of ``b`` within the slack band and the means agree,
-    ``"violates"`` when some threshold exceeds the band the wrong way, and
-    ``"indistinguishable"`` otherwise.  Statistical evidence, not proof.
+    that of ``b`` within a slack band of three pooled batch standard errors
+    and the means agree within the same band, ``"violates"`` when some
+    threshold exceeds the band the wrong way, and ``"indistinguishable"``
+    otherwise.  Statistical evidence, not proof.
     """
     # the batch statistics below read the draws in simulation order
     sorted_a, sorted_b = a.sorted(), b.sorted()
@@ -151,24 +140,16 @@ def check_cx_dominance(
         thresholds = np.linspace(0.0, hi if hi > 0 else 1.0, 101)
     ks = np.asarray(thresholds, dtype=float)
 
-    curve_a = stop_loss_curve(sorted_a, ks)
-    curve_b = stop_loss_curve(sorted_b, ks)
-    batches_a = _batch_curves(a, ks)
-    batches_b = _batch_curves(b, ks)
+    def curve(s):
+        return stop_loss_curve(s, ks)
 
-    def se_of(batches):
-        if batches is None:
-            return 0.0
-        return batches.std(axis=0, ddof=1) / math.sqrt(batches.shape[0])
-
-    band = slack_multiplier * np.hypot(se_of(batches_a), se_of(batches_b)) + 1e-15
-    diff = curve_a - curve_b
+    band = 3.0 * np.hypot(batch_standard_error(a, curve), batch_standard_error(b, curve)) + 1e-15
+    diff = curve(sorted_a) - curve(sorted_b)
 
     se_mean = math.hypot(
-        batch_standard_error(a, lambda s: s.mean()),
-        batch_standard_error(b, lambda s: s.mean()),
+        batch_standard_error(a, LossSample.mean), batch_standard_error(b, LossSample.mean)
     )
-    means_match = abs(a.mean() - b.mean()) <= slack_multiplier * se_mean + 1e-15
+    means_match = abs(a.mean() - b.mean()) <= 3.0 * se_mean + 1e-15
 
     if np.any(diff > band):
         return "violates"
@@ -329,7 +310,7 @@ def _check_chain(report: RiskReport) -> None:
                 )
 
 
-def risk_report(scenario: Scenario, check_chain: bool = True) -> RiskReport:
+def risk_report(scenario: Scenario) -> RiskReport:
     """Simulate a scenario and assemble its AVaR bound report."""
     borrowers = scenario.borrowers
     mc = scenario.mc
@@ -365,6 +346,5 @@ def risk_report(scenario: Scenario, check_chain: bool = True) -> RiskReport:
         samples=mc.samples,
         seed=mc.seed,
     )
-    if check_chain:
-        _check_chain(report)
+    _check_chain(report)
     return report

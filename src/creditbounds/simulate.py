@@ -27,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom as _binom
 
 from .copulas import Factor
 from .portfolio import DeterministicLgd
@@ -198,11 +197,12 @@ def simulate_comonotone(portfolio, samples: int, seed: int, workers: int = 1) ->
     return simulate_losses(profiles, portfolio, samples, seed, workers)
 
 
-def _merge_support(support: np.ndarray, weights: np.ndarray, tol: float = 1e-12) -> LossSample:
+def _merge_support(support: np.ndarray, weights: np.ndarray) -> LossSample:
     order = np.argsort(support, kind="stable")
     s = support[order]
     w = weights[order]
-    new_point = np.concatenate([[True], np.diff(s) > tol])
+    # losses closer than this are one atom summed in different orders
+    new_point = np.concatenate([[True], np.diff(s) > 1e-12])
     idx = np.flatnonzero(new_point)
     merged_w = np.add.reduceat(w, idx)
     return LossSample(s[idx], merged_w, is_sorted=True)
@@ -245,10 +245,13 @@ def _gauss_legendre(quad_nodes: int):
 def _combination_pmf(f: Factor, groups) -> np.ndarray:
     """(nodes x combinations) conditional pmf of the groups' default counts,
     the last group varying fastest."""
+    # imported here: scipy.stats takes most of a second and only this path needs it
+    from scipy.stats import binom
+
     probs = np.ones((f.t.size, 1))
     for grp in groups:
         p = np.clip(grp.profile._cpd(f), 0.0, 1.0)
-        pmf = _binom.pmf(np.arange(grp.n + 1)[None, :], grp.n, p[:, None])
+        pmf = binom.pmf(np.arange(grp.n + 1)[None, :], grp.n, p[:, None])
         probs = (probs[:, :, None] * pmf[:, None, :]).reshape(f.t.size, -1)
     return probs
 
@@ -323,15 +326,17 @@ def exact_loss_distribution(profiles, portfolio, quad_nodes: int = 256) -> LossS
     return sample
 
 
-def batch_standard_error(sample: LossSample, stat_fn, n_batches: int = _N_BATCHES) -> float:
-    """Batch-means standard error of a statistic of an MC loss sample."""
+def batch_standard_error(sample: LossSample, stat_fn):
+    """Batch-means standard error of a statistic of an MC loss sample; one per
+    entry when the statistic is an array."""
     if sample.weights is not None:
         return 0.0
     losses = sample.losses
-    if losses.size < n_batches:
+    if losses.size < _N_BATCHES:
         return float("nan")
-    stats = [stat_fn(LossSample(part)) for part in np.array_split(losses, n_batches)]
-    return float(np.std(stats, ddof=1) / math.sqrt(n_batches))
+    stats = [stat_fn(LossSample(part)) for part in np.array_split(losses, _N_BATCHES)]
+    se = np.std(stats, axis=0, ddof=1) / math.sqrt(_N_BATCHES)
+    return float(se) if np.ndim(se) == 0 else se
 
 
 def dkw_epsilon(n: int, confidence: float = 0.999) -> float:

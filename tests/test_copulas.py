@@ -112,6 +112,7 @@ class TestConditional:
             assert np.all(np.diff(vals) <= 1e-9)
 
 
+    @pytest.mark.parametrize("method", ["_conditional", "_inverse_conditional"])
     @settings(max_examples=200, deadline=None)
     @given(
         cop=st.sampled_from(ALL_FAMILIES + [Gaussian(1.0)]),
@@ -119,18 +120,36 @@ class TestConditional:
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 300),
     )
-    def test_scalar_u_equals_broadcast_u(self, cop, u, seed, n):
+    def test_scalar_u_equals_broadcast_u(self, method, cop, u, seed, n):
         # default profiles pass their threshold 1 - pd as a scalar against a
         # shared factor, possibly a masked subset of one with cached transforms
+        public, private = getattr(cop, method[1:]), getattr(cop, method)
         rng = np.random.default_rng(seed)
         v = rng.random(n)
         v[v == 0.0] = 0.5
-        scalar = cop.conditional(u, v)
-        assert np.array_equal(scalar, cop.conditional(np.full(n, u), v))
+        scalar = public(u, v)
+        assert np.array_equal(scalar, public(np.full(n, u), v))
         f = Factor(v)
-        assert np.array_equal(cop._conditional(u, f), scalar)
+        assert np.array_equal(private(u, f), scalar)
         mask = rng.random(n) < rng.random()
-        assert np.array_equal(cop._conditional(u, f[mask]), scalar[mask])
+        assert np.array_equal(private(u, f[mask]), scalar[mask])
+
+
+@pytest.mark.parametrize("cop", ALL_FAMILIES + [Gaussian(1.0)], ids=repr)
+def test_edges_are_exact(cop):
+    # grid points k/64 keep u + v - 1 exact, so the survival formula's
+    # margins are exact too
+    x = np.arange(65) / 64.0
+    zero, one = np.zeros_like(x), np.ones_like(x)
+    assert np.all(cop.cdf(x, zero) == 0.0)
+    assert np.all(cop.cdf(zero, x) == 0.0)
+    assert np.array_equal(cop.cdf(one, x), x)
+    assert np.array_equal(cop.cdf(x, one), x)
+    v = x[1:-1]
+    assert np.all(cop.inverse_conditional(0.0, v) == 0.0)
+    # the comonotone step 1{u >= v} reaches t = 1 at u = v, the others at u = 1
+    step = isinstance(cop, Comonotone) or cop == Gaussian(1.0)
+    assert np.array_equal(cop.inverse_conditional(1.0, v), v if step else np.ones_like(v))
 
 
 class TestInverseConditional:

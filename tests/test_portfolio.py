@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import creditbounds
 from creditbounds.portfolio import (
     BetaLgd,
     Borrower,
@@ -218,3 +223,17 @@ class TestScenario:
             Borrower("x", 0.5, -0.5, DeterministicLgd(0.1), (0.1, 0.2), 0.15)
         with pytest.raises(ValueError, match="interval"):
             Borrower("x", 0.5, 0.5, DeterministicLgd(0.1), (0.3, 0.2), 0.15)
+
+
+def test_import_and_load_leave_scipy_stats_unloaded(fixtures_dir):
+    # scipy.stats takes most of a second to import and only the exact path
+    # needs it; a fresh process shows what `import creditbounds` pulls in
+    code = "import sys, creditbounds\n" + "".join(
+        f"creditbounds.load_scenario({str(fixtures_dir / name)!r})\n"
+        for name in ("scenario1.json", "idb_scenario1.json")
+    ) + "print('scipy.stats' in sys.modules)\n"
+    src = str(Path(creditbounds.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
