@@ -112,18 +112,17 @@ class TestConditional:
             assert np.all(np.diff(vals) <= 1e-9)
 
 
-    @pytest.mark.parametrize("method", ["_conditional", "_inverse_conditional"])
-    @settings(max_examples=200, deadline=None)
-    @given(
+    scalar_u_cases = given(
         cop=st.sampled_from(ALL_FAMILIES + [Gaussian(1.0)]),
         u=st.floats(1e-12, 1.0, exclude_max=True),
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 300),
     )
-    def test_scalar_u_equals_broadcast_u(self, method, cop, u, seed, n):
+
+    @staticmethod
+    def check_scalar_u(public, private, u, seed, n):
         # default profiles pass their threshold 1 - pd as a scalar against a
         # shared factor, possibly a masked subset of one with cached transforms
-        public, private = getattr(cop, method[1:]), getattr(cop, method)
         rng = np.random.default_rng(seed)
         v = rng.random(n)
         v[v == 0.0] = 0.5
@@ -133,6 +132,16 @@ class TestConditional:
         assert np.array_equal(private(u, f), scalar)
         mask = rng.random(n) < rng.random()
         assert np.array_equal(private(u, f[mask]), scalar[mask])
+
+    @settings(max_examples=200, deadline=None)
+    @scalar_u_cases
+    def test_scalar_u_equals_broadcast_u(self, cop, u, seed, n):
+        self.check_scalar_u(cop.conditional, cop._conditional, u, seed, n)
+
+    @settings(max_examples=200, deadline=None)
+    @scalar_u_cases
+    def test_scalar_u_equals_broadcast_u_inverse(self, cop, u, seed, n):
+        self.check_scalar_u(cop.inverse_conditional, cop._inverse_conditional, u, seed, n)
 
 
 @pytest.mark.parametrize("cop", ALL_FAMILIES + [Gaussian(1.0)], ids=repr)
