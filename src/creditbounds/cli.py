@@ -142,7 +142,14 @@ def cmd_bounds(args) -> int:
         f"{r.model}@{r.alpha}": {"se_lower": r.se_lower, "se_upper": r.se_upper}
         for r in report.rows
     }
-    _write_meta(out_dir, scenario, wall, {"standard_errors": ses, "warnings": fired})
+    pooling = [
+        {"run": run, "groups": groups, "singleton_groups": singletons}
+        for run, groups, singletons in report.pooling
+    ]
+    _write_meta(
+        out_dir, scenario, wall,
+        {"standard_errors": ses, "pooled_groups": pooling, "warnings": fired},
+    )
     sys.stdout.write(report.to_text())
     return 0
 

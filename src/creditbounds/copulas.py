@@ -336,7 +336,8 @@ class SurvivalClayton(Copula):
         return Clayton(self.theta)
 
     def _cdf(self, u, v):
-        return np.maximum(0.0, u + v - 1.0 + self._base()._cdf(1.0 - u, 1.0 - v))
+        return _with_margins(u, v, lambda u, v: np.maximum(
+            0.0, u + v - 1.0 + self._base()._cdf(1.0 - u, 1.0 - v)))
 
     def _conditional(self, u, f):
         out = _on_inner(u, f, lambda u, f: 1.0 - self._base()._conditional(1.0 - u, f.flip))

@@ -54,6 +54,9 @@ __all__ = [
 # a batch-means standard error of AVaR is noise when a batch's tail holds
 # fewer draws than this
 _MIN_TAIL_DRAWS = 10
+# the ordering chain and the convex-order test allow this many pooled batch
+# standard errors of slack
+_SLACK_SE = 3.0
 
 
 class ResultInvariantError(RuntimeError):
@@ -143,13 +146,13 @@ def check_cx_dominance(a: LossSample, b: LossSample, thresholds=None) -> str:
     def curve(s):
         return stop_loss_curve(s, ks)
 
-    band = 3.0 * np.hypot(batch_standard_error(a, curve), batch_standard_error(b, curve)) + 1e-15
+    band = _SLACK_SE * np.hypot(batch_standard_error(a, curve), batch_standard_error(b, curve)) + 1e-15
     diff = curve(sorted_a) - curve(sorted_b)
 
     se_mean = math.hypot(
         batch_standard_error(a, LossSample.mean), batch_standard_error(b, LossSample.mean)
     )
-    means_match = abs(a.mean() - b.mean()) <= 3.0 * se_mean + 1e-15
+    means_match = abs(a.mean() - b.mean()) <= _SLACK_SE * se_mean + 1e-15
 
     if np.any(diff > band):
         return "violates"
@@ -215,6 +218,8 @@ class RiskReport:
     benchmarks: tuple  # BenchmarkRow, ordered by alpha
     samples: int
     seed: int
+    # (run, pooled groups, singleton groups) per simulation run, in run order
+    pooling: tuple = ()
 
     def row(self, model: str, alpha: float) -> BoundRow:
         for r in self.rows:
@@ -301,13 +306,17 @@ def _check_chain(report: RiskReport) -> None:
             ("upper bound", r.avar_upper, r.se_upper, "comonotone", bench.avar_comon, bench.se_comon),
         ]
         for name_a, val_a, se_a, name_b, val_b, se_b in links:
-            slack = 3.0 * math.hypot(se_a, se_b) + 1e-15
+            slack = _SLACK_SE * math.hypot(se_a, se_b) + 1e-15
             if val_a > val_b + slack:
                 raise ResultInvariantError(
                     f"{report.scenario_label}, model {r.model}, alpha {r.alpha}: "
                     f"AVaR({name_a}) = {val_a:.6f} exceeds AVaR({name_b}) = {val_b:.6f} "
-                    f"beyond 3 pooled standard errors"
+                    f"beyond {_SLACK_SE:g} pooled standard errors"
                 )
+
+
+def _pooling(run: str, sample: LossSample) -> tuple:
+    return run, len(sample.group_sizes), sample.group_sizes.count(1)
 
 
 def risk_report(scenario: Scenario) -> RiskReport:
@@ -318,6 +327,7 @@ def risk_report(scenario: Scenario) -> RiskReport:
 
     indep = simulate_independent(borrowers, mc.samples, mc.seed + 0, mc.workers)
     comon = simulate_comonotone(borrowers, mc.samples, mc.seed + 1, mc.workers)
+    pooling = [_pooling("independent", indep), _pooling("comonotone", comon)]
     benchmarks = []
     for alpha in scenario.alphas:
         ai, si = _avar_with_se(indep, alpha)
@@ -328,10 +338,12 @@ def risk_report(scenario: Scenario) -> RiskReport:
     for k, model in enumerate(scenario.models):
         lowers, uppers = bound_profiles(model, borrowers, scenario.point_copulas)
         lo_sample = simulate_losses(lowers, borrowers, mc.samples, mc.seed + 2 + 2 * k, mc.workers)
+        pooling.append(_pooling(f"{model} lower", lo_sample))
         if all(lo.group_key() == up.group_key() for lo, up in zip(lowers, uppers)):
             up_sample = lo_sample  # degenerate family: both bounds are the same model
         else:
             up_sample = simulate_losses(uppers, borrowers, mc.samples, mc.seed + 3 + 2 * k, mc.workers)
+            pooling.append(_pooling(f"{model} upper", up_sample))
         for alpha in scenario.alphas:
             alo, slo = _avar_with_se(lo_sample, alpha)
             aup, sup = _avar_with_se(up_sample, alpha)
@@ -345,6 +357,7 @@ def risk_report(scenario: Scenario) -> RiskReport:
         benchmarks=tuple(benchmarks),
         samples=mc.samples,
         seed=mc.seed,
+        pooling=tuple(pooling),
     )
     _check_chain(report)
     return report

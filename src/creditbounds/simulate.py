@@ -8,7 +8,10 @@ worker threads execute the chunks.
 Borrowers that share a profile, an LGD specification and an exposure
 weight are pooled: conditionally on the factor their default count is
 binomial, which is what makes million-sample runs over thousand-loan
-portfolios cheap without changing the loss distribution.  Every group's
+portfolios cheap without changing the loss distribution.  A group of one
+borrower (every IDB borrower, say) is a single Bernoulli draw: it takes
+one uniform compare that replays numpy's ``binomial(1, p)`` draw for draw,
+so it consumes the same uniforms and keeps every stream.  Every group's
 conditional default probability reads one shared ``Factor`` per chunk (per
 quadrature batch on the exact path), so each factor transform runs once.
 
@@ -52,13 +55,15 @@ _N_BATCHES = 20
 class LossSample:
     """Portfolio losses as fractions of total exposure.
 
-    Monte Carlo samples carry equally likely draws (``weights is None``);
-    exact distributions carry support points with probabilities.
+    Monte Carlo samples carry equally likely draws (``weights is None``)
+    and the sizes of the pooled groups that drew them; exact distributions
+    carry support points with probabilities.
     """
 
     losses: np.ndarray
     weights: np.ndarray | None = None
     is_sorted: bool = False
+    group_sizes: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "losses", np.asarray(self.losses, dtype=float))
@@ -126,7 +131,33 @@ def _lgd_total(rng, lgd, counts: np.ndarray) -> np.ndarray:
     return np.bincount(idx, weights=draws, minlength=counts.size)
 
 
-def _run_chunks(samples: int, seed: int, workers: int, chunk_fn) -> LossSample:
+def _bernoulli(rng, p, m: int) -> np.ndarray:
+    """m Bernoulli(p) draws, p a scalar or an (m,) array in [0, 1], that equal
+    ``rng.binomial(1, p, size=m)`` and leave ``rng`` in the same state.
+
+    For n = 1 numpy's binomial inverts one uniform U per p > 0 and draws
+    nothing at p == 0; p <= 0.5 defaults when U > 1 - p, and p > 0.5, drawn
+    as one minus a Bernoulli(1 - p), when U <= 1 - (1 - p).  numpy forms
+    its threshold q = 1 - p as exp(log(q)), which is q wherever libm rounds
+    both correctly; elsewhere a draw differs only if U lands on that ulp.
+    """
+    p = np.broadcast_to(np.asarray(p, dtype=float), (m,))
+    lo, hi = p.min(), p.max()
+    if not (0.0 <= lo and hi <= 1.0):
+        raise ValueError("p < 0, p > 1 or p contains NaNs")
+
+    def hits(u, p):
+        return np.where(p <= 0.5, u > 1.0 - p, u <= 1.0 - (1.0 - p))
+
+    if lo > 0.0:
+        return hits(rng.random(m), p)
+    out = np.zeros(m, dtype=bool)
+    live = p > 0.0
+    out[live] = hits(rng.random(np.count_nonzero(live)), p[live])
+    return out
+
+
+def _run_chunks(samples: int, seed: int, workers: int, chunk_fn) -> np.ndarray:
     out = np.empty(samples)
 
     def task(ci: int) -> None:
@@ -141,7 +172,7 @@ def _run_chunks(samples: int, seed: int, workers: int, chunk_fn) -> LossSample:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(task, range(n_chunks)))
-    return LossSample(out)
+    return out
 
 
 def _validate_alignment(profiles, borrowers) -> None:
@@ -163,7 +194,12 @@ def simulate_losses(profiles, portfolio, samples: int, seed: int, workers: int =
 
     The dependence extremes draw their default counts directly: the
     generic binomial route is slower for them, and ``binomial(n, 1.0)``
-    would still consume a uniform per scenario.
+    would still consume a uniform per scenario.  Every other group of one
+    borrower draws its default as one uniform compare (``_bernoulli``),
+    several times faster than numpy's per-element binomial setup; it
+    consumes the same uniforms and returns the same draws, so the losses
+    are those of ``binomial(1, p)`` bit for bit.  The returned sample
+    records the pooled group sizes.
     """
     _validate_alignment(profiles, portfolio)
     groups = _pool(portfolio, profiles)
@@ -173,16 +209,25 @@ def simulate_losses(profiles, portfolio, samples: int, seed: int, workers: int =
         loss = np.zeros(m)
         for grp in groups:
             p = grp.profile
-            if isinstance(p, IndependentProfile):
-                counts = rng.binomial(grp.n, p.pd, size=m)
-            elif isinstance(p, ComonotoneProfile):
+            if isinstance(p, ComonotoneProfile):
                 counts = grp.n * (f.t >= 1.0 - p.pd).astype(np.int64)
+            elif grp.n == 1:
+                pd = p.pd if isinstance(p, IndependentProfile) else np.clip(p._cpd(f), 0.0, 1.0)
+                hit = _bernoulli(rng, pd, m)
+                if isinstance(grp.lgd, DeterministicLgd):
+                    # multiplying by 0 or 1 is exact: weight * (value * count) bit for bit
+                    loss += (grp.weight * grp.lgd.value) * hit
+                    continue
+                counts = hit
+            elif isinstance(p, IndependentProfile):
+                counts = rng.binomial(grp.n, p.pd, size=m)
             else:
                 counts = rng.binomial(grp.n, np.clip(p._cpd(f), 0.0, 1.0))
             loss += grp.weight * _lgd_total(rng, grp.lgd, counts)
         return loss
 
-    return _run_chunks(samples, seed, workers, chunk)
+    losses = _run_chunks(samples, seed, workers, chunk)
+    return LossSample(losses, group_sizes=tuple(g.n for g in groups))
 
 
 def simulate_independent(portfolio, samples: int, seed: int, workers: int = 1) -> LossSample:

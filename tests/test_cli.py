@@ -96,6 +96,23 @@ class TestBounds:
         # every recorded warning is still shown to the caller
         assert sorted(messages) == sorted({str(w.message) for w in shown})
 
+    def test_meta_counts_pooled_groups_per_run(self, fixtures_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning):
+            code, _, _ = run(
+                capsys, "bounds", "--scenario", str(fixtures_dir / "idb_scenario1.json"),
+                "--out", str(out), "--samples", "20000", "--workers", "1",
+            )
+        assert code == 0
+        meta = json.loads((out / "meta.json").read_text())
+        runs = [f"{m} {side}" for m in meta["models"] for side in ("lower", "upper")]
+        # every IDB borrower differs in pd or exposure: 26 singleton groups
+        assert meta["pooled_groups"] == [
+            {"run": run, "groups": 26, "singleton_groups": 26}
+            for run in ["independent", "comonotone", *runs]
+        ]
+        assert "groups" not in (out / "report.csv").read_text()
+
     def test_invalid_samples_exit_one(self, fixtures_dir, tmp_path, capsys):
         doc = json.loads((fixtures_dir / "scenario1.json").read_text())
         doc["mc"]["samples"] = 0

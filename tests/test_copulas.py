@@ -161,6 +161,13 @@ def test_edges_are_exact(cop):
     assert np.array_equal(cop.inverse_conditional(1.0, v), v if step else np.ones_like(v))
 
 
+@pytest.mark.parametrize("cop", ALL_FAMILIES, ids=repr)
+def test_margins_are_exact_at_random_points(cop):
+    x = np.random.default_rng(23).random(100_000)
+    assert np.array_equal(cop.cdf(1.0, x), x)
+    assert np.array_equal(cop.cdf(x, 1.0), x)
+
+
 class TestInverseConditional:
     def test_independence_identity(self):
         assert Independence().inverse_conditional(0.42, 0.9) == pytest.approx(0.42)

@@ -16,9 +16,13 @@ from creditbounds.profiles import (
 )
 from creditbounds.simulate import (
     LossSample,
+    _bernoulli,
+    _chunk_rng,
     _gauss_legendre,
+    _lgd_total,
     _merge_support,
     _pool,
+    _run_chunks,
     batch_standard_error,
     dkw_epsilon,
     exact_loss_distribution,
@@ -51,6 +55,33 @@ def _node_by_node(profiles, borrowers, quad_nodes):
         pmf = binom.pmf(counts[None, :], grp.n, p[:, None])
         probs = (probs[:, :, None] * pmf[:, None, :]).reshape(t.size, -1)
     return _merge_support(support, wq @ probs)
+
+
+def _all_binomial(profiles, borrowers, samples, seed):
+    """Losses of the chunk loop that draws every group, singletons too, with
+    ``rng.binomial``."""
+    groups = _pool(borrowers, profiles)
+
+    def chunk(rng, m):
+        f = Factor(rng.random(m))
+        loss = np.zeros(m)
+        for grp in groups:
+            p = grp.profile
+            if isinstance(p, IndependentProfile):
+                counts = rng.binomial(grp.n, p.pd, size=m)
+            elif isinstance(p, ComonotoneProfile):
+                counts = grp.n * (f.t >= 1.0 - p.pd).astype(np.int64)
+            else:
+                counts = rng.binomial(grp.n, np.clip(p._cpd(f), 0.0, 1.0))
+            loss += grp.weight * _lgd_total(rng, grp.lgd, counts)
+        return loss
+
+    return _run_chunks(samples, seed, 1, chunk)
+
+
+# thresholds where the replay rule switches branch or draws nothing
+EDGE_PDS = [0.0, 1.0, 0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0), 1e-310, 5e-324,
+            np.nextafter(1.0, 0.0)]
 
 
 @st.composite
@@ -118,6 +149,76 @@ class TestSimulateLosses:
             simulate_losses(IND_PROFILES[:10], PORT, 100, seed=1)
         with pytest.raises(ValueError, match="does not match"):
             simulate_losses([IndependentProfile(0.5)] * 1000, PORT, 100, seed=1)
+
+
+class TestBernoulli:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(st.sampled_from(EDGE_PDS), st.floats(0.0, 1.0)), min_size=1, max_size=300),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_replays_the_binomial_stream(self, ps, seed):
+        p = np.array(ps)
+        a, b = _chunk_rng(seed, 0), _chunk_rng(seed, 0)
+        assert np.array_equal(_bernoulli(a, p, p.size), b.binomial(1, p))
+        assert a.random() == b.random()
+        # a scalar p draws like binomial(1, p, size=m)
+        assert np.array_equal(_bernoulli(a, p[0], 50), b.binomial(1, p[0], size=50))
+        assert a.random() == b.random()
+
+    def test_replays_a_million_draws(self):
+        rng = np.random.default_rng(3)
+        p = rng.random(1_000_000) ** rng.choice([1.0, 4.0, 40.0], 1_000_000)
+        p[rng.integers(0, p.size, 8000)] = np.repeat(EDGE_PDS, 1000)
+        a, b = _chunk_rng(9, 0), _chunk_rng(9, 0)
+        assert np.array_equal(_bernoulli(a, p, p.size), b.binomial(1, p))
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_invalid_p_raises_like_binomial(self, bad):
+        p = np.array([0.2, bad, 0.3])
+        with pytest.raises(ValueError):
+            _chunk_rng(1, 0).binomial(1, p)
+        with pytest.raises(ValueError, match="NaN"):
+            _bernoulli(_chunk_rng(1, 0), p, 3)
+        with pytest.raises(ValueError, match="NaN"):
+            _bernoulli(_chunk_rng(1, 0), bad, 3)
+
+    @pytest.mark.filterwarnings("ignore:pointwise min of the profile family")
+    @pytest.mark.parametrize("lgd", [DeterministicLgd(0.45), BetaLgd(0.45, 0.2)], ids=repr)
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_singleton_losses_equal_the_all_binomial_chunk(self, model, side, lgd):
+        rng = np.random.default_rng(17)
+        pds = [0.004, 0.02, 0.3, 0.5, 0.62, 0.9, 1.0 - 1e-9]
+        amounts = rng.uniform(0.5, 2.0, len(pds))
+        borrowers = [
+            Borrower(f"b{i}", pd, a / amounts.sum(), lgd, (0.1, 0.3), 0.2)
+            for i, (pd, a) in enumerate(zip(pds, amounts))
+        ]
+        # one pooled group of three keeps the binomial path in the same chunk
+        borrowers += [Borrower("pool", 0.05, 0.1, lgd, (0.1, 0.3), 0.2)] * 3
+        bounds = [MODELS[model].bounds(b, Clayton(b.theta_point))[side] for b in borrowers]
+        for profiles in (
+            bounds,
+            [IndependentProfile(b.pd) for b in borrowers],
+            bounds[:3] + [IndependentProfile(b.pd) for b in borrowers[3:5]]
+            + [ComonotoneProfile(b.pd) for b in borrowers[5:]],
+        ):
+            reference = _all_binomial(profiles, borrowers, 40_000, seed=8)
+            for workers in (1, 2):
+                sample = simulate_losses(profiles, borrowers, 40_000, seed=8, workers=workers)
+                assert np.array_equal(sample.losses, reference)
+
+    def test_sample_records_the_pooled_group_sizes(self):
+        sample = simulate_losses(IND_PROFILES, PORT, 100, seed=1)
+        assert sample.group_sizes == (1000,)
+        borrowers = [
+            Borrower(f"b{i}", 0.1, w, DeterministicLgd(1.0), (0.1, 0.2), 0.15)
+            for i, w in enumerate([0.2, 0.2, 0.1, 0.5])
+        ]
+        sample = simulate_losses([IndependentProfile(0.1)] * 4, borrowers, 100, seed=1)
+        assert sample.group_sizes == (2, 1, 1)
 
 
 class TestBenchmarks:
