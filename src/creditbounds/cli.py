@@ -218,7 +218,7 @@ def cmd_oracle(args) -> int:
         for k, model in enumerate(scenario.models):
             lowers, uppers = bound_profiles(model, scenario.borrowers, scenario.point_copulas)
             sides = [("lower", lowers)]
-            if any(l.group_key() != u.group_key() for l, u in zip(lowers, uppers)):
+            if uppers is not lowers:
                 sides.append(("upper", uppers))
             for j, (side, profiles) in enumerate(sides):
                 try:

@@ -23,11 +23,11 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .copulas import clayton_theta_matching_gaussian
-from .profiles import MODELS, model_spec
+from .profiles import MODELS, _check_pd, model_spec
 
 __all__ = [
     "ConfigError",
@@ -62,8 +62,7 @@ def irb_correlation(pd: float, lo_bound: float = 0.12, hi_bound: float = 0.24) -
     Decreasing in the default probability; maps (0, 1) into
     (lo_bound, hi_bound).
     """
-    if not (0.0 < pd < 1.0) or math.isnan(pd):
-        raise ValueError(f"pd must lie in (0, 1), got {pd}")
+    _check_pd(pd)
     if not (0.0 < lo_bound < hi_bound < 1.0):
         raise ValueError(f"need 0 < lo_bound < hi_bound < 1, got ({lo_bound}, {hi_bound})")
     w = (1.0 - math.exp(-50.0 * pd)) / (1.0 - math.exp(-50.0))
@@ -98,11 +97,6 @@ class DeterministicLgd:
     @property
     def mean(self) -> float:
         return self.value
-
-    def draw(self, rng, size: int):
-        import numpy as np
-
-        return np.full(size, self.value)
 
 
 @dataclass(frozen=True)
@@ -148,8 +142,10 @@ class Borrower:
     theta_point: float = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 < self.pd < 1.0):
-            raise ValueError(f"borrower {self.name!r}: pd must lie in (0, 1), got {self.pd}")
+        try:
+            _check_pd(self.pd)
+        except ValueError as exc:
+            raise ValueError(f"borrower {self.name!r}: {exc}") from None
         if self.exposure_weight < 0.0:
             raise ValueError(f"borrower {self.name!r}: negative exposure weight")
         lo, hi = self.corr_interval
@@ -176,7 +172,7 @@ def _clamped_pd(raw: float, where: str) -> float:
 
 def _require_weight_sum(borrowers: list[Borrower]) -> None:
     total = sum(b.exposure_weight for b in borrowers)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # a NaN total fails too
         raise ValueError(f"exposure weights sum to {total!r}, expected 1")
 
 
@@ -205,17 +201,7 @@ def homogeneous_portfolio(
         corr_interval=interval,
         corr_point=point,
     )
-    return [
-        Borrower(
-            name=f"loan{i + 1:04d}",
-            pd=borrower.pd,
-            exposure_weight=borrower.exposure_weight,
-            lgd=borrower.lgd,
-            corr_interval=borrower.corr_interval,
-            corr_point=borrower.corr_point,
-        )
-        for i in range(n)
-    ]
+    return [replace(borrower, name=f"loan{i + 1:04d}") for i in range(n)]
 
 
 _CSV_COLUMNS = ("name", "amount", "pd", "lgd_kind", "lgd_mean", "lgd_vol", "corr_lo", "corr_hi")
@@ -269,6 +255,8 @@ def load_portfolio_csv(
     amounts = []
     for i, row in enumerate(rows, start=2):  # header is line 1
         amount = _parse_float(i, "amount", row["amount"])
+        if not math.isfinite(amount):
+            raise ConfigError(f"row {i}, column 'amount': amount must be finite, got {amount!r}")
         if amount < 0.0:
             raise ConfigError(f"row {i}, column 'amount': negative amount {amount!r}")
         amounts.append(amount)
@@ -281,7 +269,7 @@ def load_portfolio_csv(
     borrowers = []
     for i, (row, amount) in enumerate(zip(rows, amounts), start=2):
         raw_pd = _parse_float(i, "pd", row["pd"])
-        if raw_pd <= 0.0:
+        if not raw_pd > 0.0:  # NaN included
             raise ConfigError(f"row {i}, column 'pd': pd must be positive, got {raw_pd!r}")
         pd = _clamped_pd(raw_pd, f"row {i} ({row['name']})")
         point = irb_correlation(pd, *irb_bounds)
@@ -319,21 +307,11 @@ def save_portfolio_csv(path, borrowers: list[Borrower]) -> None:
         writer.writerow(_CSV_COLUMNS)
         for b in borrowers:
             if isinstance(b.lgd, DeterministicLgd):
-                lgd_kind, lgd_mean, lgd_vol = "deterministic", b.lgd.value, ""
+                lgd = ["deterministic", repr(b.lgd.value), ""]
             else:
-                lgd_kind, lgd_mean, lgd_vol = "beta", b.lgd.mean_, b.lgd.vol
-            writer.writerow(
-                [
-                    b.name,
-                    repr(b.exposure_weight),
-                    repr(b.pd),
-                    lgd_kind,
-                    repr(lgd_mean) if lgd_mean != "" else "",
-                    repr(lgd_vol) if lgd_vol != "" else "",
-                    repr(b.corr_interval[0]),
-                    repr(b.corr_interval[1]),
-                ]
-            )
+                lgd = ["beta", repr(b.lgd.mean_), repr(b.lgd.vol)]
+            writer.writerow([b.name, repr(b.exposure_weight), repr(b.pd), *lgd,
+                             repr(b.corr_interval[0]), repr(b.corr_interval[1])])
 
 
 @dataclass(frozen=True)

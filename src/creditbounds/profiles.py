@@ -57,9 +57,14 @@ PROFILE_GRID_N = 1001
 
 
 def _check_pd(pd: float) -> float:
-    if not (0.0 < pd < 1.0) or math.isnan(pd):
-        raise ValueError(f"default probability must lie in (0, 1), got {pd}")
+    if not (0.0 < pd < 1.0):  # NaN included
+        raise ValueError(f"pd must lie in (0, 1), got {pd}")
     return float(pd)
+
+
+def _cell(t: np.ndarray, n: int) -> np.ndarray:
+    """Index of the uniform cell [i/n, (i+1)/n) of [0, 1] that holds each t."""
+    return np.clip((t * n).astype(int), 0, n - 1)
 
 
 class DefaultProfile(ABC):
@@ -181,8 +186,7 @@ class GridProfile(DefaultProfile):
         return np.interp(s, self._grid(), self.knots)
 
     def _cpd(self, f):
-        idx = np.clip((f.t * self._n_cells).astype(int), 0, self._n_cells - 1)
-        return self._slopes()[idx]
+        return self._slopes()[_cell(f.t, self._n_cells)]
 
     def group_key(self):
         return ("grid", self.pd, self.knots.tobytes())
@@ -337,9 +341,7 @@ class TabulatedPdCurve:
         return float(self.values.mean())
 
     def _cpd(self, f):
-        n = self.values.size
-        idx = np.clip((f.t * n).astype(int), 0, n - 1)
-        return self.values[idx]
+        return self.values[_cell(f.t, self.values.size)]
 
     conditional_pd = DefaultProfile.conditional_pd
 

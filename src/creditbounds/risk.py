@@ -5,14 +5,17 @@ of the empirical quantile function: the boundary order statistic gets a
 fractional weight, so atoms are handled without the O(1/k) bias of a
 naive top-k mean.  Confidence levels follow the reporting convention
 (alpha = 0.95 averages the worst 5% of outcomes).  AVaR depends only on
-that tail, so on an equally weighted Monte Carlo sample it partitions out
-the worst ceil((1 - alpha) n) + 1 draws and sorts only those; exact
+that tail, and the tail of a higher level is part of the tail of a lower
+one, so on an equally weighted Monte Carlo sample ``avar`` partitions out
+the worst ceil((1 - alpha) n) + 1 draws at the lowest requested level,
+sorts only those, and reads every level's tail as a slice of them; exact
 (weighted) and pre-sorted samples use the whole sorted support.
 
 ``risk_report`` runs a scenario end to end: per-borrower profile bounds
 for each requested model family, a lower- and an upper-bound simulation
-per family plus the shared independence/comonotone benchmarks, AVaR with
-batch-means standard errors, and a validity check of the ordering chain.
+per family plus the shared independence/comonotone benchmarks, AVaR at
+every level with batch-means standard errors (one sorted tail per sample
+and per batch), and a validity check of the ordering chain.
 Simulation seeds derive from the scenario seed plus the run index
 (benchmarks first, then lower/upper per model in order).
 """
@@ -74,31 +77,40 @@ def _sorted_with_cum(sample: LossSample):
     return s.losses, cum, total
 
 
-def avar(sample: LossSample, confidence: float) -> float:
+def avar(sample: LossSample, confidence):
     """Average Value-at-Risk: mean of the worst (1 - confidence) tail.
 
     Exact plug-in of the quantile-function integral over the empirical (or
     exact) distribution; positively homogeneous and translation-additive.
+    ``confidence`` is one level, giving a float, or a sequence of levels,
+    giving an array in the same order.  All levels read one sorted tail:
+    each sums the same draws in the same order as a call at that level alone.
     """
-    if not (0.0 < confidence < 1.0):
+    levels = np.asarray(confidence, dtype=float)
+    if not np.all((levels > 0.0) & (levels < 1.0)):
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     if sample.size == 0:
         raise ValueError("empty loss sample")
+    alphas = [float(a) for a in levels.flat]
+    n = sample.size
     if sample.weights is None and not sample.is_sorted:
-        # only draws of rank >= floor(confidence * n) carry weight; one more
-        # below keeps a float tie at the boundary weighted as in a full sort
-        n = sample.size
-        start = max(math.floor(confidence * n) - 1, 0)
+        # only draws of rank >= floor(alpha * n) carry weight; one more below
+        # keeps a float tie at the boundary weighted as in a full sort
+        firsts = [max(math.floor(a * n) - 1, 0) for a in alphas]
+        start = min(firsts)
         x = LossSample(np.partition(sample.losses, start)[start:]).sorted().losses
-        cum = np.arange(start + 1, n + 1) / n
-        prev = np.arange(start, n) / n
-        total = 1.0
+        cum, prev, total = np.arange(start + 1, n + 1) / n, np.arange(start, n) / n, 1.0
     else:
         x, cum, total = _sorted_with_cum(sample)
         prev = np.concatenate([[0.0], cum[:-1]])
-    q = confidence * total
-    overlap = np.clip(cum - np.maximum(prev, q), 0.0, None)
-    return float((x * overlap).sum() / (total - q))
+        firsts, start = [0] * len(alphas), 0
+    # level i reads the draws from rank firsts[i] on; x starts at rank start
+    values = []
+    for alpha, first in zip(alphas, firsts):
+        k, q = first - start, alpha * total
+        overlap = np.clip(cum[k:] - np.maximum(prev[k:], q), 0.0, None)
+        values.append(float((x[k:] * overlap).sum() / (total - q)))
+    return values[0] if levels.ndim == 0 else np.array(values)
 
 
 def var(sample: LossSample, confidence: float) -> float:
@@ -168,7 +180,9 @@ def bound_profiles(model: str, borrowers, point_copulas=None):
     least risky member: low correlation / low theta); the upper profile is
     the pointwise min.  The hybrid family takes the envelope of the
     Gaussian and Clayton point models, which generally requires the convex
-    repair of the pointwise min.
+    repair of the pointwise min.  A degenerate family, whose upper profiles
+    are the lower model, returns the lower list itself as the upper one, so
+    callers test ``uppers is lowers``.
     """
     spec = model_spec(model)
     copulas = point_copulas if spec.per_copula else [None] * len(borrowers)
@@ -181,6 +195,8 @@ def bound_profiles(model: str, borrowers, point_copulas=None):
         lo, up = cache[key]
         lowers.append(lo)
         uppers.append(up)
+    if all(lo.group_key() == up.group_key() for lo, up in zip(lowers, uppers)):
+        return lowers, lowers
     return lowers, uppers
 
 
@@ -275,8 +291,11 @@ class RiskReport:
         return out.getvalue()
 
 
-def _avar_with_se(sample: LossSample, alpha: float) -> tuple[float, float]:
-    return avar(sample, alpha), batch_standard_error(sample, lambda s: avar(s, alpha))
+def _avar_with_se(sample: LossSample, alphas) -> tuple[list, list]:
+    """AVaR per level and its batch standard errors, from one sorted tail per sample and batch."""
+    values = avar(sample, alphas)
+    se = batch_standard_error(sample, lambda s: avar(s, alphas))
+    return values.tolist(), np.broadcast_to(se, values.shape).tolist()
 
 
 def _tail_draws_per_batch(samples: int, alpha: float) -> int:
@@ -325,29 +344,25 @@ def risk_report(scenario: Scenario) -> RiskReport:
     mc = scenario.mc
     _warn_thin_tails(mc.samples, scenario.alphas)
 
+    alphas = scenario.alphas
     indep = simulate_independent(borrowers, mc.samples, mc.seed + 0, mc.workers)
     comon = simulate_comonotone(borrowers, mc.samples, mc.seed + 1, mc.workers)
     pooling = [_pooling("independent", indep), _pooling("comonotone", comon)]
-    benchmarks = []
-    for alpha in scenario.alphas:
-        ai, si = _avar_with_se(indep, alpha)
-        ac, sc = _avar_with_se(comon, alpha)
-        benchmarks.append(BenchmarkRow(alpha, ai, ac, si, sc))
+    (ai, si), (ac, sc) = _avar_with_se(indep, alphas), _avar_with_se(comon, alphas)
+    benchmarks = [BenchmarkRow(*row) for row in zip(alphas, ai, ac, si, sc)]
 
     rows = []
     for k, model in enumerate(scenario.models):
         lowers, uppers = bound_profiles(model, borrowers, scenario.point_copulas)
         lo_sample = simulate_losses(lowers, borrowers, mc.samples, mc.seed + 2 + 2 * k, mc.workers)
         pooling.append(_pooling(f"{model} lower", lo_sample))
-        if all(lo.group_key() == up.group_key() for lo, up in zip(lowers, uppers)):
-            up_sample = lo_sample  # degenerate family: both bounds are the same model
-        else:
+        lo = up = _avar_with_se(lo_sample, alphas)
+        if uppers is not lowers:
             up_sample = simulate_losses(uppers, borrowers, mc.samples, mc.seed + 3 + 2 * k, mc.workers)
             pooling.append(_pooling(f"{model} upper", up_sample))
-        for alpha in scenario.alphas:
-            alo, slo = _avar_with_se(lo_sample, alpha)
-            aup, sup = _avar_with_se(up_sample, alpha)
-            rows.append(BoundRow(model, alpha, alo, aup, slo, sup))
+            up = _avar_with_se(up_sample, alphas)
+        (alo, slo), (aup, sup) = lo, up
+        rows.extend(BoundRow(model, *row) for row in zip(alphas, alo, aup, slo, sup))
 
     report = RiskReport(
         scenario_label=scenario.label,

@@ -49,6 +49,7 @@ __all__ = [
 _CHUNK = 1 << 14
 _MAX_EXACT_SUPPORT = 2**20
 _N_BATCHES = 20
+_DKW_CONFIDENCE = 0.999
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,20 +374,23 @@ def exact_loss_distribution(profiles, portfolio, quad_nodes: int = 256) -> LossS
 
 def batch_standard_error(sample: LossSample, stat_fn):
     """Batch-means standard error of a statistic of an MC loss sample; one per
-    entry when the statistic is an array."""
+    entry when the statistic is an array, each equal to the standard error of
+    that entry alone."""
     if sample.weights is not None:
         return 0.0
     losses = sample.losses
     if losses.size < _N_BATCHES:
         return float("nan")
-    stats = [stat_fn(LossSample(part)) for part in np.array_split(losses, _N_BATCHES)]
-    se = np.std(stats, axis=0, ddof=1) / math.sqrt(_N_BATCHES)
+    stats = np.array([stat_fn(LossSample(part)) for part in np.array_split(losses, _N_BATCHES)])
+    # one contiguous row per entry: numpy sums a row in the order of a 1-D
+    # array, but sums down a column in another
+    se = np.std(np.ascontiguousarray(stats.T), axis=-1, ddof=1) / math.sqrt(_N_BATCHES)
     return float(se) if np.ndim(se) == 0 else se
 
 
-def dkw_epsilon(n: int, confidence: float = 0.999) -> float:
-    """Half-width of the Dvoretzky-Kiefer-Wolfowitz confidence band."""
-    return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n))
+def dkw_epsilon(n: int) -> float:
+    """Half-width of the Dvoretzky-Kiefer-Wolfowitz band at 99.9% confidence."""
+    return math.sqrt(math.log(2.0 / (1.0 - _DKW_CONFIDENCE)) / (2.0 * n))
 
 
 def sup_cdf_distance(mc: LossSample, exact: LossSample) -> float:

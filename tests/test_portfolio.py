@@ -147,6 +147,14 @@ class TestCsvLoading:
         p.write_text("name,amount\nA,10\n")
         with pytest.raises(ConfigError, match="missing required column 'pd'"):
             load_portfolio_csv(p)
+        for amount in ("nan", "inf"):
+            p.write_text(f"name,amount,pd,lgd_kind,lgd_mean\nA,10,0.05,deterministic,0.4\n"
+                         f"B,{amount},0.05,deterministic,0.4\n")
+            with pytest.raises(ConfigError, match=f"row 3, column 'amount': .* {amount}"):
+                load_portfolio_csv(p)
+        p.write_text("name,amount,pd,lgd_kind,lgd_mean\nA,10,nan,deterministic,0.4\n")
+        with pytest.raises(ConfigError, match="row 2, column 'pd': .* nan"):
+            load_portfolio_csv(p)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -219,6 +227,8 @@ class TestScenario:
     def test_borrower_invariants(self):
         with pytest.raises(ValueError, match="pd"):
             Borrower("x", 1.5, 0.5, DeterministicLgd(0.1), (0.1, 0.2), 0.15)
+        with pytest.raises(ValueError, match="borrower 'x': .* nan"):
+            Borrower("x", math.nan, 0.5, DeterministicLgd(0.1), (0.1, 0.2), 0.15)
         with pytest.raises(ValueError, match="negative"):
             Borrower("x", 0.5, -0.5, DeterministicLgd(0.1), (0.1, 0.2), 0.15)
         with pytest.raises(ValueError, match="interval"):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from creditbounds import risk
 from creditbounds.portfolio import DeterministicLgd, homogeneous_portfolio, scenario_from_dict
 from creditbounds.profiles import gaussian_profile
 from creditbounds.risk import (
@@ -24,6 +25,7 @@ from creditbounds.risk import (
 )
 from creditbounds.simulate import (
     LossSample,
+    batch_standard_error,
     simulate_comonotone,
     simulate_independent,
     simulate_losses,
@@ -62,6 +64,8 @@ class TestAvar:
         with pytest.raises(ValueError):
             avar(TWO_POINT, 1.0)
         with pytest.raises(ValueError):
+            avar(TWO_POINT, [0.95, float("nan")])
+        with pytest.raises(ValueError):
             avar(LossSample(np.array([])), 0.95)
 
     @settings(max_examples=300, deadline=None)
@@ -84,6 +88,15 @@ class TestAvar:
         overlap = np.clip(cum - np.maximum(np.arange(n) / n, alpha), 0.0, None)
         reference = float((x * overlap).sum() / (1.0 - alpha))
         assert avar(LossSample(losses), alpha) == pytest.approx(reference, rel=1e-12, abs=1e-15)
+        # several levels, unsorted and repeated, read one tail yet keep each
+        # level's bytes, for the sample and for its batch standard errors
+        levels = data.draw(st.lists(st.sampled_from([alpha, 0.5, 0.95, 0.99]) | open_unit,
+                                    min_size=1, max_size=6))
+        sample = LossSample(losses)
+        assert np.array_equal(avar(sample, levels), [avar(sample, a) for a in levels])
+        se = batch_standard_error(sample, lambda s: avar(s, levels))
+        each = [batch_standard_error(sample, lambda s: avar(s, a)) for a in levels]
+        assert np.array_equal(np.broadcast_to(se, len(levels)), each, equal_nan=True)
 
     def test_boundary_draw_keeps_its_float_weight(self):
         # alpha * n rounds up to 5, yet cum = fl(5/6) exceeds alpha by one ulp,
@@ -96,6 +109,9 @@ class TestAvar:
         assert avar(s, 0.9) == 0.15999999999999984
         assert avar(s, 0.95) == 0.21999999999999956
         assert avar(s, 0.99) == 0.2999999999999989
+        values = avar(s, (0.99, 0.9, 0.95))
+        assert isinstance(values, np.ndarray)
+        assert values.tolist() == [0.2999999999999989, 0.15999999999999984, 0.21999999999999956]
 
 
 class TestVar:
@@ -212,6 +228,15 @@ class TestRiskReport:
             assert bench.avar_indep <= row.avar_lower + 3 * (row.se_lower + bench.se_indep) + 1e-12
             assert row.avar_lower <= row.avar_upper + 3 * (row.se_lower + row.se_upper) + 1e-12
             assert row.avar_upper <= bench.avar_comon + 3 * (row.se_upper + bench.se_comon) + 1e-12
+
+    def test_one_tail_per_sample(self, monkeypatch):
+        # 5 samples (the degenerate family reuses its lower one), each read
+        # once whole and once per standard-error batch, at both levels at once
+        calls = []
+        original = risk.avar
+        monkeypatch.setattr(risk, "avar", lambda *args: calls.append(args) or original(*args))
+        risk_report(_tiny_scenario(("gaussian", "independent")))
+        assert len(calls) == 5 * 21
 
     def test_deterministic_output(self):
         r1 = risk_report(_tiny_scenario())
