@@ -143,8 +143,8 @@ def cmd_bounds(args) -> int:
         for r in report.rows
     }
     pooling = [
-        {"run": run, "groups": groups, "singleton_groups": singletons}
-        for run, groups, singletons in report.pooling
+        {"run": run, "groups": groups, "singleton_groups": singletons, "exact_pd_share": share}
+        for run, groups, singletons, share in report.pooling
     ]
     _write_meta(
         out_dir, scenario, wall,

@@ -20,6 +20,7 @@ the regulatory interpolation value plus/minus ``corr_shift``.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import warnings
@@ -151,7 +152,8 @@ class Borrower:
         lo, hi = self.corr_interval
         if not (0.0 < lo <= hi < 1.0):
             raise ValueError(
-                f"borrower {self.name!r}: correlation interval must satisfy 0 < lo <= hi < 1"
+                f"borrower {self.name!r}: correlation interval must satisfy "
+                f"0 < lo <= hi < 1, got {self.corr_interval}"
             )
         if not (0.0 < self.corr_point < 1.0):
             raise ValueError(f"borrower {self.name!r}: corr_point must lie in (0, 1)")
@@ -214,15 +216,25 @@ def _parse_float(row_no: int, column: str, text: str) -> float:
         raise ConfigError(f"row {row_no}, column {column!r}: cannot parse {text!r} as a number") from None
 
 
+def _in_column(row_no: int, column: str, build, *args):
+    """build(*args), its ValueError raised as a ConfigError naming the row and column."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"row {row_no}, column {column!r}: {exc}") from None
+
+
 def _parse_lgd(row_no: int, kind: str, mean_text: str, vol_text: str):
     kind = kind.strip().lower()
     if kind == "deterministic":
-        return DeterministicLgd(_parse_float(row_no, "lgd_mean", mean_text))
+        mean = _parse_float(row_no, "lgd_mean", mean_text)
+        return _in_column(row_no, "lgd_mean", DeterministicLgd, mean)
     if kind == "beta":
-        return BetaLgd(
-            _parse_float(row_no, "lgd_mean", mean_text),
-            _parse_float(row_no, "lgd_vol", vol_text),
-        )
+        mean = _parse_float(row_no, "lgd_mean", mean_text)
+        vol = _parse_float(row_no, "lgd_vol", vol_text)
+        # beta_params rejects a mean outside (0, 1) before it reads the vol
+        column = "lgd_vol" if 0.0 < mean < 1.0 else "lgd_mean"
+        return _in_column(row_no, column, BetaLgd, mean, vol)
     raise ConfigError(f"row {row_no}, column 'lgd_kind': unknown kind {kind!r}")
 
 
@@ -273,11 +285,14 @@ def load_portfolio_csv(
             raise ConfigError(f"row {i}, column 'pd': pd must be positive, got {raw_pd!r}")
         pd = _clamped_pd(raw_pd, f"row {i} ({row['name']})")
         point = irb_correlation(pd, *irb_bounds)
+        corr_column = None
         if row.get("corr_lo", "").strip() and row.get("corr_hi", "").strip():
             corr = (
                 _parse_float(i, "corr_lo", row["corr_lo"]),
                 _parse_float(i, "corr_hi", row["corr_hi"]),
             )
+            # Borrower checks 0 < corr_lo <= corr_hi < 1: name the first column that breaks it
+            corr_column = "corr_hi" if 0.0 < corr[0] < 1.0 else "corr_lo"
         else:
             corr = (point - corr_shift, point + corr_shift)
         if lgd_override is not None:
@@ -286,16 +301,16 @@ def load_portfolio_csv(
             lgd = _parse_lgd(i, row["lgd_kind"], row.get("lgd_mean", ""), row.get("lgd_vol", ""))
         else:
             raise ConfigError(f"row {i}, column 'lgd_kind': missing (and no override given)")
-        borrowers.append(
-            Borrower(
-                name=row["name"].strip(),
-                pd=pd,
-                exposure_weight=amount if total == 1.0 else amount / total,
-                lgd=lgd,
-                corr_interval=corr,
-                corr_point=point,
-            )
+        borrower = functools.partial(
+            Borrower,
+            name=row["name"].strip(),
+            pd=pd,
+            exposure_weight=amount if total == 1.0 else amount / total,
+            lgd=lgd,
+            corr_interval=corr,
+            corr_point=point,
         )
+        borrowers.append(_in_column(i, corr_column, borrower) if corr_column else borrower())
     _require_weight_sum(borrowers)
     return borrowers
 

@@ -234,7 +234,8 @@ class RiskReport:
     benchmarks: tuple  # BenchmarkRow, ordered by alpha
     samples: int
     seed: int
-    # (run, pooled groups, singleton groups) per simulation run, in run order
+    # (run, pooled groups, singleton groups, share of the table-drawn singleton
+    # draws whose pd was evaluated, or None) per simulation run, in run order
     pooling: tuple = ()
 
     def row(self, model: str, alpha: float) -> BoundRow:
@@ -335,7 +336,7 @@ def _check_chain(report: RiskReport) -> None:
 
 
 def _pooling(run: str, sample: LossSample) -> tuple:
-    return run, len(sample.group_sizes), sample.group_sizes.count(1)
+    return run, len(sample.group_sizes), sample.group_sizes.count(1), sample.exact_pd_share
 
 
 def risk_report(scenario: Scenario) -> RiskReport:

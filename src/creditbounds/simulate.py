@@ -11,9 +11,16 @@ binomial, which is what makes million-sample runs over thousand-loan
 portfolios cheap without changing the loss distribution.  A group of one
 borrower (every IDB borrower, say) is a single Bernoulli draw: it takes
 one uniform compare that replays numpy's ``binomial(1, p)`` draw for draw,
-so it consumes the same uniforms and keeps every stream.  Every group's
-conditional default probability reads one shared ``Factor`` per chunk (per
-quadrature batch on the exact path), so each factor transform runs once.
+so it consumes the same uniforms and keeps every stream.  Defaults are
+stochastically increasing in the factor, so the borrower's conditional
+default probability p(t) is nondecreasing in t: a table of p at the edges
+of 4,096 uniform factor cells, widened by an absolute slack of 1e-12 for
+rounding, bounds p on each cell and decides the compare for all but the
+draws whose uniform falls in the narrow band those bounds leave open.
+Only those draws, and the few draws where p may be 0, straddle 0.5 or
+decrease, evaluate p itself (``_PdTable``).  Every evaluated conditional
+default probability reads one shared ``Factor`` per chunk (per quadrature
+batch on the exact path), so each factor transform runs at most once.
 
 The exact path integrates the product of the groups' conditional binomial
 pmfs over the factor.  It splits the pooled groups into a prefix A and a
@@ -33,7 +40,14 @@ import numpy as np
 
 from .copulas import Factor
 from .portfolio import DeterministicLgd
-from .profiles import ComonotoneProfile, IndependentProfile
+from .profiles import (
+    ComonotoneProfile,
+    EnvelopeProfile,
+    GridProfile,
+    IndependentProfile,
+    TabulatedPdCurve,
+    _cell,
+)
 
 __all__ = [
     "LossSample",
@@ -65,6 +79,9 @@ class LossSample:
     weights: np.ndarray | None = None
     is_sorted: bool = False
     group_sizes: tuple = ()
+    # share of the table-drawn singleton draws whose pd was evaluated
+    # (see _PdTable); None when no group drew from a table
+    exact_pd_share: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "losses", np.asarray(self.losses, dtype=float))
@@ -132,30 +149,128 @@ def _lgd_total(rng, lgd, counts: np.ndarray) -> np.ndarray:
     return np.bincount(idx, weights=draws, minlength=counts.size)
 
 
+def _checked_pd(p: np.ndarray) -> np.ndarray:
+    """p unchanged, or the ValueError ``binomial`` raises for p outside [0, 1] or NaN."""
+    if p.size and not (0.0 <= p.min() and p.max() <= 1.0):
+        raise ValueError("p < 0, p > 1 or p contains NaNs")
+    return p
+
+
+def _hits(u, p):
+    """numpy's binomial(1, p) verdict on its uniform u: p <= 0.5 defaults when
+    u > 1 - p, and p > 0.5, drawn as one minus a Bernoulli(1 - p), when
+    u <= 1 - (1 - p).  numpy forms its threshold q = 1 - p as exp(log(q)),
+    which is q wherever libm rounds both correctly; elsewhere a draw differs
+    only if u lands on that ulp."""
+    return np.where(p <= 0.5, u > 1.0 - p, u <= 1.0 - (1.0 - p))
+
+
+def _uniforms(rng, dead: np.ndarray, m: int) -> np.ndarray:
+    """numpy's binomial(1, p) uniforms for m draws: one per draw in order,
+    none for the draws at ``dead`` (where p == 0), which read 0."""
+    if dead.size == 0:
+        return rng.random(m)
+    live = np.ones(m, dtype=bool)
+    live[dead] = False
+    u = np.zeros(m)
+    u[live] = rng.random(m - dead.size)
+    return u
+
+
 def _bernoulli(rng, p, m: int) -> np.ndarray:
     """m Bernoulli(p) draws, p a scalar or an (m,) array in [0, 1], that equal
-    ``rng.binomial(1, p, size=m)`` and leave ``rng`` in the same state.
+    ``rng.binomial(1, p, size=m)`` and leave ``rng`` in the same state: numpy
+    inverts one uniform per p > 0 (``_hits``) and draws nothing at p == 0."""
+    p = _checked_pd(np.broadcast_to(np.asarray(p, dtype=float), (m,)))
+    return _hits(_uniforms(rng, np.flatnonzero(p == 0.0), m), p)
 
-    For n = 1 numpy's binomial inverts one uniform U per p > 0 and draws
-    nothing at p == 0; p <= 0.5 defaults when U > 1 - p, and p > 0.5, drawn
-    as one minus a Bernoulli(1 - p), when U <= 1 - (1 - p).  numpy forms
-    its threshold q = 1 - p as exp(log(q)), which is q wherever libm rounds
-    both correctly; elsewhere a draw differs only if U lands on that ulp.
+
+# uniform factor cells of a singleton's pd table, and the absolute slack by
+# which an evaluated pd may fall short of (or exceed) the table's edge values
+_PD_CELLS = 1 << 12
+_PD_SLACK = 1e-12
+
+
+def _breakpoints(profile) -> np.ndarray:
+    """Factor levels where the profile's pd may decrease: an envelope's
+    selection boundaries and bridge ends, and the downward steps of a grid
+    profile or a tabulated curve, which nothing requires to be monotone."""
+    if isinstance(profile, EnvelopeProfile):
+        boundaries, _ = profile._selection
+        return np.concatenate([boundaries, [x for a, b, *_ in profile.bridges for x in (a, b)]])
+    if isinstance(profile, GridProfile):
+        steps = profile._slopes()
+    elif isinstance(profile, TabulatedPdCurve):
+        steps = profile.values
+    else:
+        return np.empty(0)
+    return (np.flatnonzero(np.diff(steps) < 0.0) + 1) / steps.size
+
+
+class _PdTable:
+    """Bernoulli draws of one borrower that replay ``_bernoulli`` at the
+    clipped pd while evaluating that pd only near the verdict's threshold.
+
+    The pd p(t) of a profile is nondecreasing in the factor t, so on the
+    cell [e_c, e_(c+1)] it lies within [p(e_c), p(e_(c+1))], widened by
+    ``_PD_SLACK``.  Where that range lies on one side of 0.5, ``_hits`` is
+    decided by u alone outside a band of u per cell; only draws inside the
+    band, or in a cell whose range straddles 0.5, evaluate p after the
+    uniforms are drawn.  Draws where p may be 0 evaluate p before, so that
+    those at p == 0 take no uniform: every draw in a cell that may not be
+    monotone (the table decreases, or the cell or a neighbour holds a
+    breakpoint), and in a cell whose range reaches 0 the draws below the
+    point from which on p is known to be positive.
     """
-    p = np.broadcast_to(np.asarray(p, dtype=float), (m,))
-    lo, hi = p.min(), p.max()
-    if not (0.0 <= lo and hi <= 1.0):
-        raise ValueError("p < 0, p > 1 or p contains NaNs")
 
-    def hits(u, p):
-        return np.where(p <= 0.5, u > 1.0 - p, u <= 1.0 - (1.0 - p))
+    def __init__(self, profile):
+        self.profile = profile
+        p = self.pd(Factor(np.linspace(0.0, 1.0, _PD_CELLS + 1)))
+        lo, hi = p[:-1] - _PD_SLACK, p[1:] + _PD_SLACK
+        monotone = np.diff(p) >= 0.0
+        near = np.floor(_breakpoints(profile) * _PD_CELLS).astype(int)
+        monotone[np.clip(np.concatenate([near - 1, near, near + 1]), 0, _PD_CELLS - 1)] = False
+        # draws with t below their cell's floor evaluate p before the draw; in
+        # a monotone cell reaching 0 the floor is the least of the points
+        # e_c + 2^-k / _PD_CELLS from which on p exceeds the slack
+        self.floor = np.where(monotone, 0.0, 2.0)
+        zero = np.flatnonzero(monotone & (lo <= 0.0))
+        x = (zero[:, None] + 2.0 ** -np.arange(64)) / _PD_CELLS
+        positive = self.pd(Factor(x.ravel())).reshape(x.shape) > _PD_SLACK
+        run = np.argmin(np.column_stack([positive, np.zeros(zero.size, dtype=bool)]), axis=1)
+        self.floor[zero] = np.where(run > 0, x[np.arange(zero.size), run - 1], 2.0)
+        # cells on numpy's p > 0.5 branch throughout
+        self.high = lo > 0.5
+        # u <= below or u > above decides the draw: u > above defaults on the
+        # low branch, u <= below on the high branch
+        self.below = np.where(self.high, 1.0 - (1.0 - lo), 1.0 - hi)
+        self.above = np.where(self.high, 1.0 - (1.0 - hi), 1.0 - lo)
+        # a cell whose range straddles 0.5 sends every draw to the band
+        straddle = (lo <= 0.5) & (hi > 0.5)
+        self.below[straddle], self.above[straddle] = -1.0, 2.0
 
-    if lo > 0.0:
-        return hits(rng.random(m), p)
-    out = np.zeros(m, dtype=bool)
-    live = p > 0.0
-    out[live] = hits(rng.random(np.count_nonzero(live)), p[live])
-    return out
+    def pd(self, f: Factor) -> np.ndarray:
+        return _checked_pd(np.clip(self.profile._cpd(f), 0.0, 1.0))
+
+    def draw(self, rng, f: Factor, cell: np.ndarray) -> tuple[np.ndarray, int]:
+        """Defaults at the factor f, whose table cells are ``cell``, and the
+        number of draws whose pd was evaluated."""
+        pre = np.flatnonzero(f.t < self.floor[cell])
+        dead = pre
+        if pre.size:
+            p_pre = self.pd(f[pre])
+            dead = pre[p_pre == 0.0]
+        u = _uniforms(rng, dead, cell.size)
+        hit = u > self.above[cell]
+        in_band = (u > self.below[cell]) ^ hit
+        if self.high.any():
+            hit ^= self.high[cell]
+        if pre.size:
+            in_band[pre] = False
+            hit[pre] = _hits(u[pre], p_pre)
+        band = np.flatnonzero(in_band)
+        hit[band] = _hits(u[band], self.pd(f[band]))
+        return hit, pre.size + band.size
 
 
 def _run_chunks(samples: int, seed: int, workers: int, chunk_fn) -> np.ndarray:
@@ -196,25 +311,42 @@ def simulate_losses(profiles, portfolio, samples: int, seed: int, workers: int =
     The dependence extremes draw their default counts directly: the
     generic binomial route is slower for them, and ``binomial(n, 1.0)``
     would still consume a uniform per scenario.  Every other group of one
-    borrower draws its default as one uniform compare (``_bernoulli``),
-    several times faster than numpy's per-element binomial setup; it
-    consumes the same uniforms and returns the same draws, so the losses
-    are those of ``binomial(1, p)`` bit for bit.  The returned sample
-    records the pooled group sizes.
+    borrower draws its default as one uniform compare, several times
+    faster than numpy's per-element binomial setup: at its constant pd
+    (``_bernoulli``), or decided from its pd table, which evaluates the
+    conditional pd only near the compare's threshold (``_PdTable``).  Both
+    consume the same uniforms and return the same draws, so the losses are
+    those of ``binomial(1, p)`` bit for bit.  The returned sample records
+    the pooled group sizes and the share of the table-drawn draws that
+    evaluated their pd.
     """
     _validate_alignment(profiles, portfolio)
     groups = _pool(portfolio, profiles)
+    tables = [
+        _PdTable(g.profile)
+        if g.n == 1 and not isinstance(g.profile, (IndependentProfile, ComonotoneProfile))
+        else None
+        for g in groups
+    ]
+    evaluated = []  # pds evaluated per chunk; list.append is atomic across threads
+
+    n_tables = sum(t is not None for t in tables)
 
     def chunk(rng, m):
         f = Factor(rng.random(m))
+        cell = _cell(f.t, _PD_CELLS) if n_tables else None
         loss = np.zeros(m)
-        for grp in groups:
+        n_eval = 0
+        for grp, table in zip(groups, tables):
             p = grp.profile
             if isinstance(p, ComonotoneProfile):
                 counts = grp.n * (f.t >= 1.0 - p.pd).astype(np.int64)
             elif grp.n == 1:
-                pd = p.pd if isinstance(p, IndependentProfile) else np.clip(p._cpd(f), 0.0, 1.0)
-                hit = _bernoulli(rng, pd, m)
+                if table is None:
+                    hit = _bernoulli(rng, p.pd, m)
+                else:
+                    hit, k = table.draw(rng, f, cell)
+                    n_eval += k
                 if isinstance(grp.lgd, DeterministicLgd):
                     # multiplying by 0 or 1 is exact: weight * (value * count) bit for bit
                     loss += (grp.weight * grp.lgd.value) * hit
@@ -225,10 +357,15 @@ def simulate_losses(profiles, portfolio, samples: int, seed: int, workers: int =
             else:
                 counts = rng.binomial(grp.n, np.clip(p._cpd(f), 0.0, 1.0))
             loss += grp.weight * _lgd_total(rng, grp.lgd, counts)
+        evaluated.append(n_eval)
         return loss
 
     losses = _run_chunks(samples, seed, workers, chunk)
-    return LossSample(losses, group_sizes=tuple(g.n for g in groups))
+    return LossSample(
+        losses,
+        group_sizes=tuple(g.n for g in groups),
+        exact_pd_share=sum(evaluated) / (samples * n_tables) if n_tables else None,
+    )
 
 
 def simulate_independent(portfolio, samples: int, seed: int, workers: int = 1) -> LossSample:

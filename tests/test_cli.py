@@ -106,11 +106,15 @@ class TestBounds:
         assert code == 0
         meta = json.loads((out / "meta.json").read_text())
         runs = [f"{m} {side}" for m in meta["models"] for side in ("lower", "upper")]
+        pooled = meta["pooled_groups"]
         # every IDB borrower differs in pd or exposure: 26 singleton groups
-        assert meta["pooled_groups"] == [
-            {"run": run, "groups": 26, "singleton_groups": 26}
-            for run in ["independent", "comonotone", *runs]
+        assert [(g["run"], g["groups"], g["singleton_groups"]) for g in pooled] == [
+            (run, 26, 26) for run in ["independent", "comonotone", *runs]
         ]
+        # the benchmark runs draw no singleton from a pd table; the model runs
+        # evaluate the pd of a small share of their draws
+        assert [g["exact_pd_share"] for g in pooled[:2]] == [None, None]
+        assert all(0.0 < g["exact_pd_share"] < 0.05 for g in pooled[2:])
         assert "groups" not in (out / "report.csv").read_text()
 
     def test_invalid_samples_exit_one(self, fixtures_dir, tmp_path, capsys):

@@ -155,6 +155,17 @@ class TestCsvLoading:
         p.write_text("name,amount,pd,lgd_kind,lgd_mean\nA,10,nan,deterministic,0.4\n")
         with pytest.raises(ConfigError, match="row 2, column 'pd': .* nan"):
             load_portfolio_csv(p)
+        header = "name,amount,pd,lgd_kind,lgd_mean,lgd_vol,corr_lo,corr_hi\n"
+        for row, column in [
+            ("A,10,0.05,deterministic,nan,,,", "lgd_mean"),
+            ("A,10,0.05,beta,nan,0.2,,", "lgd_mean"),
+            ("A,10,0.05,beta,0.4,nan,,", "lgd_vol"),
+            ("A,10,0.05,deterministic,0.4,,nan,0.3", "corr_lo"),
+            ("A,10,0.05,deterministic,0.4,,0.2,nan", "corr_hi"),
+        ]:
+            p.write_text(f"{header}B,10,0.05,deterministic,0.4,,,\n{row}\n")
+            with pytest.raises(ConfigError, match=f"row 3, column '{column}': .*nan"):
+                load_portfolio_csv(p)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

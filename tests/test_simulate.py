@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,8 +11,11 @@ from creditbounds.portfolio import BetaLgd, Borrower, DeterministicLgd, homogene
 from creditbounds.profiles import (
     MODELS,
     ComonotoneProfile,
+    GridProfile,
     IndependentProfile,
+    TabulatedPdCurve,
     clayton_profile,
+    envelope,
     gaussian_profile,
     survival_clayton_profile,
 )
@@ -219,6 +224,101 @@ class TestBernoulli:
         ]
         sample = simulate_losses([IndependentProfile(0.1)] * 4, borrowers, 100, seed=1)
         assert sample.group_sizes == (2, 1, 1)
+
+
+# pds at which the table's cells switch branch, vanish or saturate
+TABLE_PDS = [1e-6, 0.5, 0.62, 1.0 - 1e-9]
+
+
+def _repaired_envelope():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        env = envelope([gaussian_profile(0.1641, 0.02), clayton_profile(0.7232, 0.02)])
+    assert env.upper.bridges
+    return env.upper
+
+
+@st.composite
+def singletons(draw):
+    """1-12 borrowers of distinct exposure, each under a registered model's
+    lower or upper profile or a bridged Gauss-Clayton envelope."""
+    k = draw(st.integers(1, 12))
+    amounts = draw(st.lists(st.floats(0.5, 2.0), min_size=k, max_size=k, unique=True))
+    borrowers, profiles = [], []
+    for i, amount in enumerate(amounts):
+        lgd = draw(st.sampled_from([DeterministicLgd(0.45), DeterministicLgd(1.0), BetaLgd(0.45, 0.2)]))
+        if draw(st.booleans()) and i % 3 == 0:
+            profile = _repaired_envelope()
+            pd = profile.pd
+        else:
+            pd = draw(st.one_of(st.sampled_from(TABLE_PDS), st.floats(1e-6, 0.999)))
+            lo = draw(st.floats(0.03, 0.4))
+            b = Borrower("b", pd, 1.0, lgd, (lo, lo + draw(st.floats(0.0, 0.3))), lo)
+            model = draw(st.sampled_from(sorted(MODELS)))
+            profile = MODELS[model].bounds(b, Clayton(b.theta_point))[draw(st.sampled_from([0, 1]))]
+        borrowers.append(Borrower(f"b{i}", pd, amount / sum(amounts), lgd, (0.1, 0.3), 0.2))
+        profiles.append(profile)
+    return borrowers, profiles
+
+
+def _assert_replays_binomial(profiles, borrowers, samples, seed):
+    reference = _all_binomial(profiles, borrowers, samples, seed)
+    for workers in (1, 2):
+        sample = simulate_losses(profiles, borrowers, samples, seed, workers)
+        assert np.array_equal(sample.losses, reference)
+
+
+def _grid(slopes) -> GridProfile:
+    """Unvalidated grid profile whose pd steps through ``slopes``."""
+    knots = np.concatenate([[0.0], np.cumsum(slopes) / len(slopes)])
+    return GridProfile(knots, float(knots[-1]))
+
+
+class TestPdTable:
+    """Singletons decided from the per-cell pd table replay binomial(1, p)."""
+
+    @pytest.mark.filterwarnings("ignore:pointwise min of the profile family")
+    @settings(max_examples=40, deadline=None)
+    @given(singletons(), st.integers(0, 2**32 - 1))
+    def test_replays_the_binomial_stream(self, drawn, seed):
+        borrowers, profiles = drawn
+        _assert_replays_binomial(profiles, borrowers, 20_000, seed)
+
+    def _with_gaussian(self, profile):
+        """The profile's borrower, then a Gaussian one whose draws shift with any
+        uniform the first one consumes wrongly."""
+        borrowers = [
+            Borrower("a", profile.pd, 0.6, DeterministicLgd(1.0), (0.1, 0.3), 0.2),
+            Borrower("b", 0.3, 0.4, DeterministicLgd(1.0), (0.1, 0.3), 0.2),
+        ]
+        return [profile, gaussian_profile(0.2, 0.3)], borrowers
+
+    def test_zero_pd_draws_take_no_uniform(self):
+        # pd is exactly 0 on the first 30% of the factor
+        slopes = np.where(np.arange(1000) < 300, 0.0, np.linspace(0.0, 0.9, 1000))
+        profiles, borrowers = self._with_gaussian(_grid(slopes))
+        assert np.all(profiles[0].conditional_pd(np.linspace(0.01, 0.29, 50)) == 0.0)
+        _assert_replays_binomial(profiles, borrowers, 40_000, seed=3)
+
+    # dips narrower than a table cell, which the table edges never see
+    ZIGZAG = np.where(np.arange(3 * 4096) % 3 == 1, 0.05, np.linspace(0.2, 0.8, 3 * 4096))
+
+    @pytest.mark.parametrize("profile", [
+        # a table that decreases over the second half
+        _grid(0.3 + 0.25 * np.sin(np.linspace(0.0, 2.0 * np.pi, 1000))),
+        _grid(ZIGZAG),
+        TabulatedPdCurve(ZIGZAG),
+    ], ids=["coarse-grid", "grid-finer-than-the-table", "curve-finer-than-the-table"])
+    def test_non_monotone_profile_falls_back_to_the_exact_pd(self, profile):
+        profiles, borrowers = self._with_gaussian(profile)
+        _assert_replays_binomial(profiles, borrowers, 40_000, seed=4)
+
+    def test_nan_in_the_table_raises_like_bernoulli(self):
+        knots = np.linspace(0.0, 0.2, 1001)
+        knots[500] = np.nan
+        profiles, borrowers = self._with_gaussian(GridProfile(knots, 0.2))
+        with pytest.raises(ValueError, match="NaN"):
+            simulate_losses(profiles, borrowers, 100, seed=1)
 
 
 class TestBenchmarks:
