@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 import scipy
 
+from creditbounds import cli
 from creditbounds.cli import _config_hash, main
-from creditbounds.portfolio import scenario_from_dict
+from creditbounds.portfolio import load_scenario, scenario_from_dict
 from creditbounds.profiles import MODELS
+from creditbounds.risk import bound_profiles
+from creditbounds.simulate import exact_loss_distribution
 
 
 def run(capsys, *argv):
@@ -250,6 +253,74 @@ class TestOracle:
         assert (row["model"], row["side"], row["support"]) == ("gaussian", "lower", 9)
         assert row["weight_sum_error"] == pytest.approx(abs(exact[:, 1].sum() - 1.0), abs=1e-15)
         assert row["weight_sum_error"] <= 1e-12
+        for key in ("exact_s", "mc_s", "write_s"):
+            assert isinstance(row[key], float) and row[key] >= 0.0
+
+    @staticmethod
+    def _exact_distributions(scenario_path):
+        """(file name, exact distribution) in the order the oracle writes them."""
+        scenario = load_scenario(scenario_path)
+        for model in scenario.models:
+            lowers, uppers = bound_profiles(model, scenario.borrowers, scenario.point_copulas)
+            sides = [("lower", lowers)] + ([("upper", uppers)] if uppers is not lowers else [])
+            for side, profiles in sides:
+                yield f"exact_{model}_{side}.csv", exact_loss_distribution(profiles, scenario.borrowers)
+
+    def _assert_exact_csv_bytes(self, scenario_path, out):
+        written = sorted(p.name for p in out.glob("exact_*.csv"))
+        expected = list(self._exact_distributions(scenario_path))
+        assert written == sorted(name for name, _ in expected)
+        for name, exact in expected:
+            reference = "loss,probability\n" + "".join(
+                f"{float(x)!r},{float(p)!r}\n" for x, p in zip(exact.losses, exact.weights)
+            )
+            assert (out / name).read_bytes() == reference.encode("utf-8"), name
+        return [exact for _, exact in expected]
+
+    def test_exact_csvs_reuse_the_loss_column_only_for_equal_supports(self, tmp_path, capsys):
+        (tmp_path / "p.csv").write_text(
+            "name,amount,pd,lgd_kind,lgd_mean,lgd_vol,corr_lo,corr_hi\n"
+            "a,1.0,0.05,deterministic,0.6,,0.1,0.2\n"
+            "z,0,0.1,deterministic,0.5,,0.15,0.25\n"
+            "c,2.5,0.02,deterministic,0.4,,0.12,0.3\n"
+        )
+        doc = {
+            "label": "zero exposure",
+            "portfolio": {"kind": "csv", "path": "p.csv"},
+            "models": ["gaussian", "comonotone", "independent", "clayton"],
+            "mc": {"samples": 20_000, "seed": 3, "workers": 1},
+        }
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps(doc))
+        code, _, _ = run(capsys, "oracle", "--scenario", str(sc), "--out", str(tmp_path / "o"))
+        assert code == 0
+        exacts = self._assert_exact_csv_bytes(sc, tmp_path / "o")
+        # gaussian lower, gaussian upper, comonotone, independent, clayton lower and upper:
+        # the comonotone column (3 atoms) and the independent one after it (4) miss
+        # the last formatted column, and the clayton columns hit it
+        assert [e.size for e in exacts] == [4, 4, 3, 4, 4, 4]
+        assert np.array_equal(exacts[3].losses, exacts[0].losses)
+        assert np.array_equal(exacts[4].losses, exacts[3].losses)
+
+    def test_exact_csv_with_a_partial_last_block(self, tmp_path, capsys):
+        # 11 distinct exposures and one pooled pair: 2^11 * 3 support points
+        amounts = np.random.default_rng(4).uniform(0.5, 2.0, 11).tolist() + [1.25, 1.25]
+        rows = ["name,amount,pd,lgd_kind,lgd_mean,lgd_vol,corr_lo,corr_hi"]
+        rows += [f"b{i},{a!r},0.1,deterministic,0.5,,0.15,0.25" for i, a in enumerate(amounts)]
+        (tmp_path / "p.csv").write_text("\n".join(rows) + "\n")
+        doc = {
+            "label": "more than one block",
+            "portfolio": {"kind": "csv", "path": "p.csv"},
+            "models": ["gaussian"],
+            "mc": {"samples": 2_000, "seed": 5, "workers": 1},
+        }
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps(doc))
+        code, _, _ = run(capsys, "oracle", "--scenario", str(sc), "--out", str(tmp_path / "o"))
+        assert code == 0
+        [lower, upper] = self._assert_exact_csv_bytes(sc, tmp_path / "o")
+        assert lower.size == upper.size == 3 * 2**11
+        assert lower.size > cli._CSV_BLOCK_ROWS and lower.size % cli._CSV_BLOCK_ROWS
 
     def test_large_portfolio_rejected(self, fixtures_dir, tmp_path, capsys):
         # 25 homogeneous borrowers pool into one group: 26 support points

@@ -407,6 +407,24 @@ class TestExactDistribution:
         assert np.array_equal(ex.losses, [0.0, 1.0])
         assert np.allclose(ex.weights, [0.9, 0.1])
 
+    @pytest.mark.filterwarnings("ignore:pointwise min of the profile family")
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_zero_exposure_borrower_changes_nothing(self, model, side):
+        # a borrower with exposure 0 adds a group whose every default count
+        # loses nothing: its pmf must collapse to a unit mass at zero loss
+        a = Borrower("a", 0.05, 1.0 / 3.5, DeterministicLgd(0.6), (0.1, 0.2), 0.15)
+        z = Borrower("z", 0.1, 0.0, DeterministicLgd(0.5), (0.15, 0.25), 0.2)
+        c = Borrower("c", 0.02, 2.5 / 3.5, DeterministicLgd(0.4), (0.12, 0.3), 0.2)
+
+        def exact(borrowers):
+            profiles = [MODELS[model].bounds(b, Clayton(b.theta_point))[side] for b in borrowers]
+            return exact_loss_distribution(profiles, borrowers)
+
+        with_zero, without = exact([a, z, c]), exact([a, c])
+        assert np.array_equal(with_zero.losses, without.losses)
+        np.testing.assert_allclose(with_zero.weights, without.weights, rtol=1e-13, atol=0.0)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
