@@ -16,8 +16,8 @@ for each requested model family, a lower- and an upper-bound simulation
 per family plus the shared independence/comonotone benchmarks, AVaR at
 every level with batch-means standard errors (one sorted tail per sample
 and per batch), and a validity check of the ordering chain.
-Simulation seeds derive from the scenario seed plus the run index
-(benchmarks first, then lower/upper per model in order).
+Every simulation draws from the scenario seed and its own run id
+(``model_run``), so no two runs share a stream.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ __all__ = [
     "BoundRow",
     "BenchmarkRow",
     "RiskReport",
+    "model_run",
 ]
 
 # a batch-means standard error of AVaR is noise when a batch's tail holds
@@ -60,6 +61,12 @@ _MIN_TAIL_DRAWS = 10
 # the ordering chain and the convex-order test allow this many pooled batch
 # standard errors of slack
 _SLACK_SE = 3.0
+
+
+def model_run(k: int, side: int) -> int:
+    """Run id of the k-th model's lower (side 0) or upper (side 1) simulation;
+    runs 0 and 1 are the independent and comonotone benchmarks."""
+    return 2 + 2 * k + side
 
 
 class ResultInvariantError(RuntimeError):
@@ -250,6 +257,29 @@ class RiskReport:
                 return r
         raise KeyError(alpha)
 
+    def chain_links(self):
+        """(model, alpha, a, b) per ordering-chain link a <= b, in row order;
+        a and b are (name, AVaR, SE)."""
+        for r in self.rows:
+            bench = self.benchmark(r.alpha)
+            chain = [
+                ("independent", bench.avar_indep, bench.se_indep),
+                ("lower", r.avar_lower, r.se_lower),
+                ("upper", r.avar_upper, r.se_upper),
+                ("comonotone", bench.avar_comon, bench.se_comon),
+            ]
+            for a, b in zip(chain, chain[1:]):
+                yield r.model, r.alpha, a, b
+
+    def chain_margins(self) -> list:
+        """One {model, alpha, link, margin_se} per chain link a <= b: AVaR_b -
+        AVaR_a in pooled standard errors, None where both are 0."""
+        return [
+            {"model": model, "alpha": alpha, "link": f"{name_a}<={name_b}",
+             "margin_se": (val_b - val_a) / math.hypot(se_a, se_b) if se_a or se_b else None}
+            for model, alpha, (name_a, val_a, se_a), (name_b, val_b, se_b) in self.chain_links()
+        ]
+
     def to_csv(self) -> str:
         out = StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -318,21 +348,14 @@ def _warn_thin_tails(samples: int, alphas) -> None:
 
 
 def _check_chain(report: RiskReport) -> None:
-    for r in report.rows:
-        bench = report.benchmark(r.alpha)
-        links = [
-            ("independent", bench.avar_indep, bench.se_indep, "lower bound", r.avar_lower, r.se_lower),
-            ("lower bound", r.avar_lower, r.se_lower, "upper bound", r.avar_upper, r.se_upper),
-            ("upper bound", r.avar_upper, r.se_upper, "comonotone", bench.avar_comon, bench.se_comon),
-        ]
-        for name_a, val_a, se_a, name_b, val_b, se_b in links:
-            slack = _SLACK_SE * math.hypot(se_a, se_b) + 1e-15
-            if val_a > val_b + slack:
-                raise ResultInvariantError(
-                    f"{report.scenario_label}, model {r.model}, alpha {r.alpha}: "
-                    f"AVaR({name_a}) = {val_a:.6f} exceeds AVaR({name_b}) = {val_b:.6f} "
-                    f"beyond {_SLACK_SE:g} pooled standard errors"
-                )
+    for model, alpha, (name_a, val_a, se_a), (name_b, val_b, se_b) in report.chain_links():
+        slack = _SLACK_SE * math.hypot(se_a, se_b) + 1e-15
+        if val_a > val_b + slack:
+            raise ResultInvariantError(
+                f"{report.scenario_label}, model {model}, alpha {alpha}: "
+                f"AVaR({name_a}) = {val_a:.6f} exceeds AVaR({name_b}) = {val_b:.6f} "
+                f"beyond {_SLACK_SE:g} pooled standard errors"
+            )
 
 
 def _pooling(run: str, sample: LossSample) -> tuple:
@@ -346,8 +369,8 @@ def risk_report(scenario: Scenario) -> RiskReport:
     _warn_thin_tails(mc.samples, scenario.alphas)
 
     alphas = scenario.alphas
-    indep = simulate_independent(borrowers, mc.samples, mc.seed + 0, mc.workers)
-    comon = simulate_comonotone(borrowers, mc.samples, mc.seed + 1, mc.workers)
+    indep = simulate_independent(borrowers, mc.samples, mc.seed, mc.workers, run=0)
+    comon = simulate_comonotone(borrowers, mc.samples, mc.seed, mc.workers, run=1)
     pooling = [_pooling("independent", indep), _pooling("comonotone", comon)]
     (ai, si), (ac, sc) = _avar_with_se(indep, alphas), _avar_with_se(comon, alphas)
     benchmarks = [BenchmarkRow(*row) for row in zip(alphas, ai, ac, si, sc)]
@@ -355,11 +378,11 @@ def risk_report(scenario: Scenario) -> RiskReport:
     rows = []
     for k, model in enumerate(scenario.models):
         lowers, uppers = bound_profiles(model, borrowers, scenario.point_copulas)
-        lo_sample = simulate_losses(lowers, borrowers, mc.samples, mc.seed + 2 + 2 * k, mc.workers)
+        lo_sample = simulate_losses(lowers, borrowers, mc.samples, mc.seed, mc.workers, model_run(k, 0))
         pooling.append(_pooling(f"{model} lower", lo_sample))
         lo = up = _avar_with_se(lo_sample, alphas)
         if uppers is not lowers:
-            up_sample = simulate_losses(uppers, borrowers, mc.samples, mc.seed + 3 + 2 * k, mc.workers)
+            up_sample = simulate_losses(uppers, borrowers, mc.samples, mc.seed, mc.workers, model_run(k, 1))
             pooling.append(_pooling(f"{model} upper", up_sample))
             up = _avar_with_se(up_sample, alphas)
         (alo, slo), (aup, sup) = lo, up

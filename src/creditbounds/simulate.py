@@ -1,26 +1,27 @@
 """Seeded Monte Carlo engine for portfolio losses, plus an exact loss-distribution oracle.
 
-Draws are organized in fixed-size chunks; each chunk owns a Philox
-(counter-based) generator keyed by the global seed and the chunk index, so
-results are bit-identical for a given (seed, samples) no matter how many
-worker threads execute the chunks.
+Each standard-error batch (see ``batch_standard_error``) is cut into chunks
+of at most ``_CHUNK`` draws, laid out by the sample count alone.  Each chunk
+owns an SFC64 generator keyed by the seed, the run id and the chunk index,
+so results are bit-identical for a given (seed, run, samples) under any
+number of worker threads.  A chunk of m draws stratifies the factor: draw j
+is (j + U_j) / m (Glasserman 2004, section 4.3).  Nothing reads a batch's
+draws in order, so they need no permutation.
 
 Borrowers that share a profile, an LGD specification and an exposure
 weight are pooled: conditionally on the factor their default count is
 binomial, which is what makes million-sample runs over thousand-loan
 portfolios cheap without changing the loss distribution.  A group of one
-borrower (every IDB borrower, say) is a single Bernoulli draw: it takes
-one uniform compare that replays numpy's ``binomial(1, p)`` draw for draw,
-so it consumes the same uniforms and keeps every stream.  Defaults are
-stochastically increasing in the factor, so the borrower's conditional
-default probability p(t) is nondecreasing in t: a table of p at the edges
-of 4,096 uniform factor cells, widened by an absolute slack of 1e-12 for
-rounding, bounds p on each cell and decides the compare for all but the
-draws whose uniform falls in the narrow band those bounds leave open.
-Only those draws, and the few draws where p may be 0, straddle 0.5 or
-decrease, evaluate p itself (``_PdTable``).  Every evaluated conditional
-default probability reads one shared ``Factor`` per chunk (per quadrature
-batch on the exact path), so each factor transform runs at most once.
+borrower (every IDB borrower, say) defaults when its uniform u falls below
+its conditional default probability p(t).  Defaults are stochastically
+increasing in the factor, so p(t) is nondecreasing in t: a table of p at the
+edges of 4,096 uniform factor cells, widened by an absolute slack of 1e-12
+for rounding, bounds p on each cell and decides u < p for all but the draws
+whose uniform falls between those bounds.  Only those draws, and every draw
+in a cell where p may decrease, evaluate p itself (``_PdTable``).  Every
+evaluated conditional default probability reads one shared ``Factor`` per
+chunk (per quadrature batch on the exact path), so each factor transform
+runs at most once.
 
 The exact path integrates the product of the groups' conditional binomial
 pmfs over the factor.  It splits the pooled groups into a prefix A and a
@@ -60,10 +61,12 @@ __all__ = [
     "dkw_epsilon",
 ]
 
-_CHUNK = 1 << 14
+_CHUNK = 1 << 15
 _MAX_EXACT_SUPPORT = 2**20
 _N_BATCHES = 20
 _DKW_CONFIDENCE = 0.999
+# the largest double below 1
+_T_MAX = 1.0 - 2.0**-53
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,57 +135,57 @@ def _pool(borrowers, profiles):
     ]
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
-    return np.random.Generator(np.random.Philox(ss))
+def _chunk_rng(seed: int, run: int, chunk: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(run, chunk))
+    return np.random.Generator(np.random.SFC64(ss))
+
+
+def _split_edges(n: int, parts: int) -> np.ndarray:
+    """Edges of ``np.array_split`` of n items into ``parts`` parts."""
+    i = np.arange(parts + 1)
+    q, r = divmod(n, parts)
+    return i * q + np.minimum(i, r)
+
+
+def _chunk_bounds(samples: int) -> list:
+    """(start, stop) per chunk: each standard-error batch cut into the fewest
+    near-equal chunks of at most ``_CHUNK`` draws."""
+    bounds = []
+    edges = _split_edges(samples, _N_BATCHES).tolist()
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b > a:
+            cuts = (a + _split_edges(b - a, -(-(b - a) // _CHUNK))).tolist()
+            bounds.extend(zip(cuts[:-1], cuts[1:]))
+    return bounds
+
+
+def _stratified(rng, m: int) -> np.ndarray:
+    """m factor draws, draw j uniform on the stratum [j/m, (j+1)/m) of [0, 1)."""
+    t = np.arange(m) + rng.random(m)
+    t /= m
+    # j + U can round up to j + 1, and t to 1.0 at the last stratum
+    return np.minimum(t, _T_MAX, out=t)
 
 
 def _lgd_total(rng, lgd, counts: np.ndarray) -> np.ndarray:
     """Sum of iid LGD draws per scenario, given default counts."""
     if isinstance(lgd, DeterministicLgd):
         return lgd.value * counts
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(counts.size)
-    draws = lgd.draw(rng, total)
-    idx = np.repeat(np.arange(counts.size), counts)
-    return np.bincount(idx, weights=draws, minlength=counts.size)
+    total = np.zeros(counts.size)
+    hit = np.flatnonzero(counts)
+    if hit.size:
+        n = counts[hit]
+        draws = lgd.draw(rng, int(n.sum()))
+        # one segment of draws per scenario with defaults, in scenario order
+        total[hit] = np.add.reduceat(draws, np.cumsum(n) - n)
+    return total
 
 
 def _checked_pd(p: np.ndarray) -> np.ndarray:
-    """p unchanged, or the ValueError ``binomial`` raises for p outside [0, 1] or NaN."""
+    """p unchanged, or a ValueError for p outside [0, 1] or NaN."""
     if p.size and not (0.0 <= p.min() and p.max() <= 1.0):
         raise ValueError("p < 0, p > 1 or p contains NaNs")
     return p
-
-
-def _hits(u, p):
-    """numpy's binomial(1, p) verdict on its uniform u: p <= 0.5 defaults when
-    u > 1 - p, and p > 0.5, drawn as one minus a Bernoulli(1 - p), when
-    u <= 1 - (1 - p).  numpy forms its threshold q = 1 - p as exp(log(q)),
-    which is q wherever libm rounds both correctly; elsewhere a draw differs
-    only if u lands on that ulp."""
-    return np.where(p <= 0.5, u > 1.0 - p, u <= 1.0 - (1.0 - p))
-
-
-def _uniforms(rng, dead: np.ndarray, m: int) -> np.ndarray:
-    """numpy's binomial(1, p) uniforms for m draws: one per draw in order,
-    none for the draws at ``dead`` (where p == 0), which read 0."""
-    if dead.size == 0:
-        return rng.random(m)
-    live = np.ones(m, dtype=bool)
-    live[dead] = False
-    u = np.zeros(m)
-    u[live] = rng.random(m - dead.size)
-    return u
-
-
-def _bernoulli(rng, p, m: int) -> np.ndarray:
-    """m Bernoulli(p) draws, p a scalar or an (m,) array in [0, 1], that equal
-    ``rng.binomial(1, p, size=m)`` and leave ``rng`` in the same state: numpy
-    inverts one uniform per p > 0 (``_hits``) and draws nothing at p == 0."""
-    p = _checked_pd(np.broadcast_to(np.asarray(p, dtype=float), (m,)))
-    return _hits(_uniforms(rng, np.flatnonzero(p == 0.0), m), p)
 
 
 # uniform factor cells of a singleton's pd table, and the absolute slack by
@@ -208,46 +211,25 @@ def _breakpoints(profile) -> np.ndarray:
 
 
 class _PdTable:
-    """Bernoulli draws of one borrower that replay ``_bernoulli`` at the
-    clipped pd while evaluating that pd only near the verdict's threshold.
+    """Bernoulli draws ``u < p`` of one borrower at its clipped pd p that
+    evaluate p only near the threshold.
 
     The pd p(t) of a profile is nondecreasing in the factor t, so on the
-    cell [e_c, e_(c+1)] it lies within [p(e_c), p(e_(c+1))], widened by
-    ``_PD_SLACK``.  Where that range lies on one side of 0.5, ``_hits`` is
-    decided by u alone outside a band of u per cell; only draws inside the
-    band, or in a cell whose range straddles 0.5, evaluate p after the
-    uniforms are drawn.  Draws where p may be 0 evaluate p before, so that
-    those at p == 0 take no uniform: every draw in a cell that may not be
-    monotone (the table decreases, or the cell or a neighbour holds a
-    breakpoint), and in a cell whose range reaches 0 the draws below the
-    point from which on p is known to be positive.
+    cell [e_c, e_(c+1)) it lies within [lo_c, hi_c] = [p(e_c), p(e_(c+1))]
+    widened by ``_PD_SLACK``: u < lo_c defaults and u >= hi_c does not.  Only
+    the draws in between evaluate p.  A cell that may not be monotone (the
+    table decreases, or the cell or a neighbour holds a breakpoint) has the
+    band [0, inf), so every draw in it evaluates p.
     """
 
     def __init__(self, profile):
         self.profile = profile
         p = self.pd(Factor(np.linspace(0.0, 1.0, _PD_CELLS + 1)))
-        lo, hi = p[:-1] - _PD_SLACK, p[1:] + _PD_SLACK
+        self.lo, self.hi = p[:-1] - _PD_SLACK, p[1:] + _PD_SLACK
         monotone = np.diff(p) >= 0.0
         near = np.floor(_breakpoints(profile) * _PD_CELLS).astype(int)
         monotone[np.clip(np.concatenate([near - 1, near, near + 1]), 0, _PD_CELLS - 1)] = False
-        # draws with t below their cell's floor evaluate p before the draw; in
-        # a monotone cell reaching 0 the floor is the least of the points
-        # e_c + 2^-k / _PD_CELLS from which on p exceeds the slack
-        self.floor = np.where(monotone, 0.0, 2.0)
-        zero = np.flatnonzero(monotone & (lo <= 0.0))
-        x = (zero[:, None] + 2.0 ** -np.arange(64)) / _PD_CELLS
-        positive = self.pd(Factor(x.ravel())).reshape(x.shape) > _PD_SLACK
-        run = np.argmin(np.column_stack([positive, np.zeros(zero.size, dtype=bool)]), axis=1)
-        self.floor[zero] = np.where(run > 0, x[np.arange(zero.size), run - 1], 2.0)
-        # cells on numpy's p > 0.5 branch throughout
-        self.high = lo > 0.5
-        # u <= below or u > above decides the draw: u > above defaults on the
-        # low branch, u <= below on the high branch
-        self.below = np.where(self.high, 1.0 - (1.0 - lo), 1.0 - hi)
-        self.above = np.where(self.high, 1.0 - (1.0 - hi), 1.0 - lo)
-        # a cell whose range straddles 0.5 sends every draw to the band
-        straddle = (lo <= 0.5) & (hi > 0.5)
-        self.below[straddle], self.above[straddle] = -1.0, 2.0
+        self.lo[~monotone], self.hi[~monotone] = 0.0, np.inf
 
     def pd(self, f: Factor) -> np.ndarray:
         return _checked_pd(np.clip(self.profile._cpd(f), 0.0, 1.0))
@@ -255,39 +237,28 @@ class _PdTable:
     def draw(self, rng, f: Factor, cell: np.ndarray) -> tuple[np.ndarray, int]:
         """Defaults at the factor f, whose table cells are ``cell``, and the
         number of draws whose pd was evaluated."""
-        pre = np.flatnonzero(f.t < self.floor[cell])
-        dead = pre
-        if pre.size:
-            p_pre = self.pd(f[pre])
-            dead = pre[p_pre == 0.0]
-        u = _uniforms(rng, dead, cell.size)
-        hit = u > self.above[cell]
-        in_band = (u > self.below[cell]) ^ hit
-        if self.high.any():
-            hit ^= self.high[cell]
-        if pre.size:
-            in_band[pre] = False
-            hit[pre] = _hits(u[pre], p_pre)
-        band = np.flatnonzero(in_band)
-        hit[band] = _hits(u[band], self.pd(f[band]))
-        return hit, pre.size + band.size
+        u = rng.random(cell.size)
+        hit = u < self.lo[cell]
+        band = np.flatnonzero((u < self.hi[cell]) ^ hit)
+        if band.size:
+            hit[band] = u[band] < self.pd(f[band])
+        return hit, band.size
 
 
-def _run_chunks(samples: int, seed: int, workers: int, chunk_fn) -> np.ndarray:
+def _run_chunks(samples: int, seed: int, run: int, workers: int, chunk_fn) -> np.ndarray:
     out = np.empty(samples)
+    bounds = _chunk_bounds(samples)
 
     def task(ci: int) -> None:
-        lo = ci * _CHUNK
-        hi = min(samples, lo + _CHUNK)
-        out[lo:hi] = chunk_fn(_chunk_rng(seed, ci), hi - lo)
+        lo, hi = bounds[ci]
+        out[lo:hi] = chunk_fn(_chunk_rng(seed, run, ci), hi - lo)
 
-    n_chunks = (samples + _CHUNK - 1) // _CHUNK
-    if workers <= 1 or n_chunks == 1:
-        for ci in range(n_chunks):
+    if workers <= 1 or len(bounds) == 1:
+        for ci in range(len(bounds)):
             task(ci)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(task, range(n_chunks)))
+            list(pool.map(task, range(len(bounds))))
     return out
 
 
@@ -303,22 +274,19 @@ def _validate_alignment(profiles, borrowers) -> None:
             )
 
 
-def simulate_losses(profiles, portfolio, samples: int, seed: int, workers: int = 1) -> LossSample:
-    """Factor-driven losses: one factor draw per scenario, conditionally
-    independent defaults with each borrower's conditional default
-    probability, iid LGD draws, exposure-weighted aggregation.
+def simulate_losses(
+    profiles, portfolio, samples: int, seed: int, workers: int = 1, run: int = 0
+) -> LossSample:
+    """Factor-driven losses: one stratified factor draw per scenario,
+    conditionally independent defaults with each borrower's conditional
+    default probability, iid LGD draws, exposure-weighted aggregation.
 
-    The dependence extremes draw their default counts directly: the
-    generic binomial route is slower for them, and ``binomial(n, 1.0)``
-    would still consume a uniform per scenario.  Every other group of one
-    borrower draws its default as one uniform compare, several times
-    faster than numpy's per-element binomial setup: at its constant pd
-    (``_bernoulli``), or decided from its pd table, which evaluates the
-    conditional pd only near the compare's threshold (``_PdTable``).  Both
-    consume the same uniforms and return the same draws, so the losses are
-    those of ``binomial(1, p)`` bit for bit.  The returned sample records
-    the pooled group sizes and the share of the table-drawn draws that
-    evaluated their pd.
+    ``run`` keys the streams with ``seed``.  The dependence extremes draw
+    their default counts directly, faster than the binomial route.  Every
+    other group of one borrower defaults where a uniform falls below its pd,
+    which its pd table (``_PdTable``) decides for most draws without
+    evaluating it.  The sample records the pooled group sizes and the share
+    of the table-drawn draws that evaluated their pd.
     """
     _validate_alignment(profiles, portfolio)
     groups = _pool(portfolio, profiles)
@@ -333,7 +301,7 @@ def simulate_losses(profiles, portfolio, samples: int, seed: int, workers: int =
     n_tables = sum(t is not None for t in tables)
 
     def chunk(rng, m):
-        f = Factor(rng.random(m))
+        f = Factor(_stratified(rng, m))
         cell = _cell(f.t, _PD_CELLS) if n_tables else None
         loss = np.zeros(m)
         n_eval = 0
@@ -343,7 +311,7 @@ def simulate_losses(profiles, portfolio, samples: int, seed: int, workers: int =
                 counts = grp.n * (f.t >= 1.0 - p.pd).astype(np.int64)
             elif grp.n == 1:
                 if table is None:
-                    hit = _bernoulli(rng, p.pd, m)
+                    hit = rng.random(m) < p.pd
                 else:
                     hit, k = table.draw(rng, f, cell)
                     n_eval += k
@@ -360,7 +328,7 @@ def simulate_losses(profiles, portfolio, samples: int, seed: int, workers: int =
         evaluated.append(n_eval)
         return loss
 
-    losses = _run_chunks(samples, seed, workers, chunk)
+    losses = _run_chunks(samples, seed, run, workers, chunk)
     return LossSample(
         losses,
         group_sizes=tuple(g.n for g in groups),
@@ -368,16 +336,16 @@ def simulate_losses(profiles, portfolio, samples: int, seed: int, workers: int =
     )
 
 
-def simulate_independent(portfolio, samples: int, seed: int, workers: int = 1) -> LossSample:
+def simulate_independent(portfolio, samples: int, seed: int, workers: int = 1, run: int = 0) -> LossSample:
     """Benchmark with unconditionally independent defaults."""
     profiles = [IndependentProfile(b.pd) for b in portfolio]
-    return simulate_losses(profiles, portfolio, samples, seed, workers)
+    return simulate_losses(profiles, portfolio, samples, seed, workers, run)
 
 
-def simulate_comonotone(portfolio, samples: int, seed: int, workers: int = 1) -> LossSample:
+def simulate_comonotone(portfolio, samples: int, seed: int, workers: int = 1, run: int = 0) -> LossSample:
     """Benchmark with comonotone defaults: one uniform drives all borrowers."""
     profiles = [ComonotoneProfile(b.pd) for b in portfolio]
-    return simulate_losses(profiles, portfolio, samples, seed, workers)
+    return simulate_losses(profiles, portfolio, samples, seed, workers, run)
 
 
 def _merge_support(support: np.ndarray, weights: np.ndarray) -> LossSample:
@@ -512,13 +480,15 @@ def exact_loss_distribution(profiles, portfolio, quad_nodes: int = 256) -> LossS
 def batch_standard_error(sample: LossSample, stat_fn):
     """Batch-means standard error of a statistic of an MC loss sample; one per
     entry when the statistic is an array, each equal to the standard error of
-    that entry alone."""
+    that entry alone.  The batches are ``np.array_split``'s, the ones each
+    simulation lays its chunks out in."""
     if sample.weights is not None:
         return 0.0
     losses = sample.losses
     if losses.size < _N_BATCHES:
         return float("nan")
-    stats = np.array([stat_fn(LossSample(part)) for part in np.array_split(losses, _N_BATCHES)])
+    edges = _split_edges(losses.size, _N_BATCHES).tolist()
+    stats = np.array([stat_fn(LossSample(losses[a:b])) for a, b in zip(edges[:-1], edges[1:])])
     # one contiguous row per entry: numpy sums a row in the order of a 1-D
     # array, but sums down a column in another
     se = np.std(np.ascontiguousarray(stats.T), axis=-1, ddof=1) / math.sqrt(_N_BATCHES)

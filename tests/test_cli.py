@@ -1,13 +1,18 @@
 import json
+import math
 import os
 import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
-from creditbounds import cli
+import creditbounds
+from creditbounds import cli, risk
 from creditbounds.cli import _config_hash, main
 from creditbounds.portfolio import load_scenario, scenario_from_dict
 from creditbounds.profiles import MODELS
@@ -119,6 +124,61 @@ class TestBounds:
         assert [g["exact_pd_share"] for g in pooled[:2]] == [None, None]
         assert all(0.0 < g["exact_pd_share"] < 0.05 for g in pooled[2:])
         assert "groups" not in (out / "report.csv").read_text()
+
+    def test_meta_gives_every_chain_link_its_margin(self, small_scenario, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, "bounds", "--scenario", str(small_scenario), "--out", str(out))
+        assert code == 0
+        meta = json.loads((out / "meta.json").read_text())
+        margins = meta["chain_margins"]
+        links = ["independent<=lower", "lower<=upper", "upper<=comonotone"]
+        assert [(m["model"], m["alpha"], m["link"]) for m in margins] == [
+            (model, alpha, link) for model in meta["models"] for alpha in meta["alphas"]
+            for link in links
+        ]
+        header, *lines = (out / "report.csv").read_text().splitlines()
+        assert "margin" not in header
+        columns = header.split(",")
+        for i, line in enumerate(lines):
+            row = dict(zip(columns, line.split(",")))
+            values = [float(row[f"avar_{side}"]) for side in ("indep", "lower", "upper", "comon")]
+            ses = [float(row[f"se_{side}"]) for side in ("indep", "lower", "upper", "comon")]
+            for k in range(3):
+                expected = (values[k + 1] - values[k]) / math.hypot(ses[k], ses[k + 1])
+                assert margins[3 * i + k]["margin_se"] == expected
+
+    def test_oracle_and_bounds_draw_the_same_sample(self, fixtures_dir, tmp_path, capsys, monkeypatch):
+        doc = json.loads((fixtures_dir / "oracle_example.json").read_text())
+        doc["portfolio"]["corr_interval"] = [0.15, 0.25]
+        doc["models"] = ["gaussian", "clayton"]
+        doc["mc"] = {"samples": 20_000, "seed": 3, "workers": 1}
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps(doc))
+        drawn = {}
+
+        def recording(module, command):
+            real = module.simulate_losses
+
+            def simulate(profiles, portfolio, samples, seed, workers=1, run=0):
+                sample = real(profiles, portfolio, samples, seed, workers, run)
+                key = tuple(p.group_key() for p in profiles)
+                drawn.setdefault(command, {})[run] = (key, seed, samples, sample.losses)
+                return sample
+
+            monkeypatch.setattr(module, "simulate_losses", simulate)
+
+        recording(cli, "oracle")
+        recording(risk, "bounds")
+        assert run(capsys, "oracle", "--scenario", str(sc), "--out", str(tmp_path / "o"))[0] == 0
+        assert run(
+            capsys, "bounds", "--scenario", str(sc), "--out", str(tmp_path / "b"), "--workers", "2"
+        )[0] == 0
+        # gaussian and clayton, lower and upper, under the same run ids
+        assert sorted(drawn["oracle"]) == sorted(drawn["bounds"]) == [2, 3, 4, 5]
+        for run_id, (key, seed, samples, losses) in drawn["oracle"].items():
+            b_key, b_seed, b_samples, b_losses = drawn["bounds"][run_id]
+            assert (key, seed, samples) == (b_key, b_seed, b_samples)
+            assert np.array_equal(losses, b_losses)
 
     def test_invalid_samples_exit_one(self, fixtures_dir, tmp_path, capsys):
         doc = json.loads((fixtures_dir / "scenario1.json").read_text())
@@ -347,6 +407,33 @@ class TestOracle:
         assert code == 1
         assert "support" in err and str(2**21) in err
 
+    def test_scipy_stats_loads_before_the_first_exact_timer(self, fixtures_dir, tmp_path):
+        # a fresh process: the oracle loads scipy.stats itself, before it times
+        # its first exact distribution
+        code = (
+            "import contextlib, io, sys\n"
+            "from creditbounds import cli\n"
+            "seen = []\n"
+            "real = cli.exact_loss_distribution\n"
+            "def exact(*args, **kwargs):\n"
+            "    seen.append('scipy.stats' in sys.modules)\n"
+            "    return real(*args, **kwargs)\n"
+            "cli.exact_loss_distribution = exact\n"
+            "before = 'scipy.stats' in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = cli.main(['oracle', '--scenario', sys.argv[1], '--out', sys.argv[2],\n"
+            "                       '--samples', '2000'])\n"
+            "print(before, status, seen[0])\n"
+        )
+        src = str(Path(creditbounds.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(fixtures_dir / "oracle_example.json"), str(tmp_path / "o")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+            timeout=60,
+        )
+        assert out.stdout.split() == ["False", "0", "True"]
+
     def test_large_independent_support_rejected(self, fixtures_dir, tmp_path, capsys):
         # 26 borrowers pool into 26 groups: 2^26 support points
         doc = json.loads((fixtures_dir / "idb_scenario1.json").read_text())
@@ -354,6 +441,9 @@ class TestOracle:
         doc["models"] = ["independent"]
         sc = tmp_path / "sc.json"
         sc.write_text(json.dumps(doc))
+        # the oracle imports scipy.stats up front; keep that import out of the peak
+        import scipy.stats  # noqa: F401
+
         tracemalloc.start()
         try:
             code, _, err = run(capsys, "oracle", "--scenario", str(sc), "--out", str(tmp_path / "o"))

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -20,14 +21,19 @@ from creditbounds.profiles import (
     survival_clayton_profile,
 )
 from creditbounds.simulate import (
+    _CHUNK,
+    _N_BATCHES,
+    _T_MAX,
     LossSample,
-    _bernoulli,
+    _checked_pd,
+    _chunk_bounds,
     _chunk_rng,
     _gauss_legendre,
     _lgd_total,
     _merge_support,
     _pool,
     _run_chunks,
+    _stratified,
     batch_standard_error,
     dkw_epsilon,
     exact_loss_distribution,
@@ -62,29 +68,38 @@ def _node_by_node(profiles, borrowers, quad_nodes):
     return _merge_support(support, wq @ probs)
 
 
-def _all_binomial(profiles, borrowers, samples, seed):
-    """Losses of the chunk loop that draws every group, singletons too, with
-    ``rng.binomial``."""
+def _all_evaluated(profiles, borrowers, samples, seed):
+    """Losses of the chunk loop that evaluates every singleton's pd at every
+    draw and defaults it where its uniform falls below."""
     groups = _pool(borrowers, profiles)
 
     def chunk(rng, m):
-        f = Factor(rng.random(m))
+        f = Factor(_stratified(rng, m))
         loss = np.zeros(m)
         for grp in groups:
             p = grp.profile
-            if isinstance(p, IndependentProfile):
-                counts = rng.binomial(grp.n, p.pd, size=m)
-            elif isinstance(p, ComonotoneProfile):
+            if isinstance(p, ComonotoneProfile):
                 counts = grp.n * (f.t >= 1.0 - p.pd).astype(np.int64)
+            elif grp.n == 1:
+                counts = rng.random(m) < _checked_pd(np.clip(p._cpd(f), 0.0, 1.0))
+            elif isinstance(p, IndependentProfile):
+                counts = rng.binomial(grp.n, p.pd, size=m)
             else:
                 counts = rng.binomial(grp.n, np.clip(p._cpd(f), 0.0, 1.0))
             loss += grp.weight * _lgd_total(rng, grp.lgd, counts)
         return loss
 
-    return _run_chunks(samples, seed, 1, chunk)
+    return _run_chunks(samples, seed, 0, 1, chunk)
 
 
-# thresholds where the replay rule switches branch or draws nothing
+def _assert_matches_all_evaluated(profiles, borrowers, samples, seed):
+    reference = _all_evaluated(profiles, borrowers, samples, seed)
+    for workers in (1, 2):
+        sample = simulate_losses(profiles, borrowers, samples, seed, workers)
+        assert np.array_equal(sample.losses, reference)
+
+
+# pds at the ends of [0, 1], around 0.5 and at the smallest positive doubles
 EDGE_PDS = [0.0, 1.0, 0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0), 1e-310, 5e-324,
             np.nextafter(1.0, 0.0)]
 
@@ -157,43 +172,56 @@ class TestSimulateLosses:
 
 
 class TestBernoulli:
+    """Singletons default where their uniform falls below their pd."""
+
+    @staticmethod
+    def _curve_and_constant(ps):
+        """A singleton whose pd steps through ps, then one at the constant pd
+        ps[0] (when it is a valid pd), whose draws shift with any uniform the
+        first consumes wrongly."""
+        curve = TabulatedPdCurve(np.array(ps))
+        profiles = [curve]
+        if 0.0 < ps[0] < 1.0:
+            profiles.append(IndependentProfile(float(ps[0])))
+        borrowers = [
+            Borrower(f"b{i}", p.pd, w, DeterministicLgd(1.0), (0.1, 0.3), 0.2)
+            for i, (p, w) in enumerate(zip(profiles, (0.6, 0.4)))
+        ]
+        return profiles, borrowers
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.one_of(st.sampled_from(EDGE_PDS), st.floats(0.0, 1.0)), min_size=1, max_size=300),
         st.integers(0, 2**32 - 1),
     )
-    def test_replays_the_binomial_stream(self, ps, seed):
-        p = np.array(ps)
-        a, b = _chunk_rng(seed, 0), _chunk_rng(seed, 0)
-        assert np.array_equal(_bernoulli(a, p, p.size), b.binomial(1, p))
-        assert a.random() == b.random()
-        # a scalar p draws like binomial(1, p, size=m)
-        assert np.array_equal(_bernoulli(a, p[0], 50), b.binomial(1, p[0], size=50))
-        assert a.random() == b.random()
+    def test_matches_the_all_evaluated_draws(self, ps, seed):
+        # the curve's mean is its borrower's pd
+        assume(0.0 < TabulatedPdCurve(np.array(ps)).pd < 1.0)
+        profiles, borrowers = self._curve_and_constant(ps)
+        _assert_matches_all_evaluated(profiles, borrowers, 2_000, seed)
 
-    def test_replays_a_million_draws(self):
+    def test_matches_a_million_evaluated_draws(self):
         rng = np.random.default_rng(3)
         p = rng.random(1_000_000) ** rng.choice([1.0, 4.0, 40.0], 1_000_000)
         p[rng.integers(0, p.size, 8000)] = np.repeat(EDGE_PDS, 1000)
-        a, b = _chunk_rng(9, 0), _chunk_rng(9, 0)
-        assert np.array_equal(_bernoulli(a, p, p.size), b.binomial(1, p))
-        assert a.random() == b.random()
+        profiles, borrowers = self._curve_and_constant(p.tolist())
+        _assert_matches_all_evaluated(profiles, borrowers, 1_000_000, 9)
 
     @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
     def test_invalid_p_raises_like_binomial(self, bad):
         p = np.array([0.2, bad, 0.3])
         with pytest.raises(ValueError):
-            _chunk_rng(1, 0).binomial(1, p)
+            _chunk_rng(1, 0, 0).binomial(1, p)
         with pytest.raises(ValueError, match="NaN"):
-            _bernoulli(_chunk_rng(1, 0), p, 3)
+            _checked_pd(p)
         with pytest.raises(ValueError, match="NaN"):
-            _bernoulli(_chunk_rng(1, 0), bad, 3)
+            _checked_pd(np.float64(bad))
 
     @pytest.mark.filterwarnings("ignore:pointwise min of the profile family")
     @pytest.mark.parametrize("lgd", [DeterministicLgd(0.45), BetaLgd(0.45, 0.2)], ids=repr)
     @pytest.mark.parametrize("side", [0, 1])
     @pytest.mark.parametrize("model", sorted(MODELS))
-    def test_singleton_losses_equal_the_all_binomial_chunk(self, model, side, lgd):
+    def test_singleton_losses_equal_the_all_evaluated_chunk(self, model, side, lgd):
         rng = np.random.default_rng(17)
         pds = [0.004, 0.02, 0.3, 0.5, 0.62, 0.9, 1.0 - 1e-9]
         amounts = rng.uniform(0.5, 2.0, len(pds))
@@ -210,10 +238,7 @@ class TestBernoulli:
             bounds[:3] + [IndependentProfile(b.pd) for b in borrowers[3:5]]
             + [ComonotoneProfile(b.pd) for b in borrowers[5:]],
         ):
-            reference = _all_binomial(profiles, borrowers, 40_000, seed=8)
-            for workers in (1, 2):
-                sample = simulate_losses(profiles, borrowers, 40_000, seed=8, workers=workers)
-                assert np.array_equal(sample.losses, reference)
+            _assert_matches_all_evaluated(profiles, borrowers, 40_000, seed=8)
 
     def test_sample_records_the_pooled_group_sizes(self):
         sample = simulate_losses(IND_PROFILES, PORT, 100, seed=1)
@@ -226,7 +251,7 @@ class TestBernoulli:
         assert sample.group_sizes == (2, 1, 1)
 
 
-# pds at which the table's cells switch branch, vanish or saturate
+# pds whose tables reach 0, cross 0.5 or saturate
 TABLE_PDS = [1e-6, 0.5, 0.62, 1.0 - 1e-9]
 
 
@@ -261,13 +286,6 @@ def singletons(draw):
     return borrowers, profiles
 
 
-def _assert_replays_binomial(profiles, borrowers, samples, seed):
-    reference = _all_binomial(profiles, borrowers, samples, seed)
-    for workers in (1, 2):
-        sample = simulate_losses(profiles, borrowers, samples, seed, workers)
-        assert np.array_equal(sample.losses, reference)
-
-
 def _grid(slopes) -> GridProfile:
     """Unvalidated grid profile whose pd steps through ``slopes``."""
     knots = np.concatenate([[0.0], np.cumsum(slopes) / len(slopes)])
@@ -275,14 +293,14 @@ def _grid(slopes) -> GridProfile:
 
 
 class TestPdTable:
-    """Singletons decided from the per-cell pd table replay binomial(1, p)."""
+    """Singletons decided from the per-cell pd table draw as if every pd were evaluated."""
 
     @pytest.mark.filterwarnings("ignore:pointwise min of the profile family")
     @settings(max_examples=40, deadline=None)
     @given(singletons(), st.integers(0, 2**32 - 1))
-    def test_replays_the_binomial_stream(self, drawn, seed):
+    def test_matches_the_all_evaluated_draws(self, drawn, seed):
         borrowers, profiles = drawn
-        _assert_replays_binomial(profiles, borrowers, 20_000, seed)
+        _assert_matches_all_evaluated(profiles, borrowers, 20_000, seed)
 
     def _with_gaussian(self, profile):
         """The profile's borrower, then a Gaussian one whose draws shift with any
@@ -293,12 +311,12 @@ class TestPdTable:
         ]
         return [profile, gaussian_profile(0.2, 0.3)], borrowers
 
-    def test_zero_pd_draws_take_no_uniform(self):
+    def test_zero_pd_stretch_matches_the_all_evaluated_draws(self):
         # pd is exactly 0 on the first 30% of the factor
         slopes = np.where(np.arange(1000) < 300, 0.0, np.linspace(0.0, 0.9, 1000))
         profiles, borrowers = self._with_gaussian(_grid(slopes))
         assert np.all(profiles[0].conditional_pd(np.linspace(0.01, 0.29, 50)) == 0.0)
-        _assert_replays_binomial(profiles, borrowers, 40_000, seed=3)
+        _assert_matches_all_evaluated(profiles, borrowers, 40_000, seed=3)
 
     # dips narrower than a table cell, which the table edges never see
     ZIGZAG = np.where(np.arange(3 * 4096) % 3 == 1, 0.05, np.linspace(0.2, 0.8, 3 * 4096))
@@ -311,14 +329,87 @@ class TestPdTable:
     ], ids=["coarse-grid", "grid-finer-than-the-table", "curve-finer-than-the-table"])
     def test_non_monotone_profile_falls_back_to_the_exact_pd(self, profile):
         profiles, borrowers = self._with_gaussian(profile)
-        _assert_replays_binomial(profiles, borrowers, 40_000, seed=4)
+        _assert_matches_all_evaluated(profiles, borrowers, 40_000, seed=4)
 
-    def test_nan_in_the_table_raises_like_bernoulli(self):
+    def test_nan_in_the_table_raises(self):
         knots = np.linspace(0.0, 0.2, 1001)
         knots[500] = np.nan
         profiles, borrowers = self._with_gaussian(GridProfile(knots, 0.2))
         with pytest.raises(ValueError, match="NaN"):
             simulate_losses(profiles, borrowers, 100, seed=1)
+
+
+class TestStreams:
+    @pytest.mark.parametrize("samples", [1, 19, 20, 21, 16_385, 50_001, 400_000, 1_000_000])
+    def test_chunks_nest_in_batches_and_cover_every_sample_once(self, samples):
+        batches = np.array_split(np.arange(samples), _N_BATCHES)
+        starts = np.cumsum([0] + [b.size for b in batches])
+        covered = np.zeros(samples, dtype=int)
+        for lo, hi in _chunk_bounds(samples):
+            assert 0 < hi - lo <= _CHUNK
+            k = np.searchsorted(starts, lo, side="right") - 1
+            assert starts[k] <= lo < hi <= starts[k + 1]
+            covered[lo:hi] += 1
+        assert np.all(covered == 1)
+
+    def test_stratified_draws_fill_their_strata(self):
+        m = 10_000
+        t = _stratified(_chunk_rng(5, 0, 0), m)
+        j = np.arange(m)
+        assert np.all((j / m <= t) & (t <= (j + 1) / m)) and t.max() < 1.0
+
+    @pytest.mark.parametrize("m", [1, 3, 16_384, _CHUNK])
+    def test_stratified_t_is_never_one(self, m):
+        class Largest:
+            """A generator whose every uniform is the largest double below 1."""
+
+            def random(self, size):
+                return np.full(size, _T_MAX)
+
+        t = _stratified(Largest(), m)
+        if m > 1:
+            # the last stratum's j + U rounds up to m
+            assert (m - 1) + _T_MAX == m
+        assert t.max() == _T_MAX
+
+    def test_runs_of_two_seeds_never_share_a_stream(self):
+        # a seed-plus-offset scheme would give seed 7's run 2 the stream of seed 9's run 0
+        assert not np.array_equal(_chunk_rng(7, 2, 0).random(8), _chunk_rng(9, 0, 0).random(8))
+        profiles = [gaussian_profile(0.165, 0.02)] * 1000
+        a = simulate_losses(profiles, PORT, 20_000, seed=7, run=2)
+        b = simulate_losses(profiles, PORT, 20_000, seed=9, run=0)
+        assert not np.array_equal(a.losses, b.losses)
+
+    def test_batch_standard_error_matches_the_spread_over_40_seeds(self):
+        from creditbounds.risk import avar
+
+        profiles = [gaussian_profile(0.24, 0.02)] * 1000
+        alphas = (0.95, 0.99)
+        estimates, ses = [], []
+        for seed in range(40):
+            sample = simulate_losses(profiles, PORT, 20_000, seed=seed, run=3)
+            estimates.append(avar(sample, alphas))
+            ses.append(batch_standard_error(sample, lambda s: avar(s, alphas)))
+        ratio = np.std(estimates, axis=0, ddof=1) / np.mean(ses, axis=0)
+        # 40 estimates know their spread to about 11%: allow three times that
+        assert np.all((0.67 < ratio) & (ratio < 1.33)), ratio
+
+
+class TestLgdTotal:
+    def test_beta_sums_match_per_scenario_fsum(self):
+        lgd = BetaLgd(0.45, 0.2)
+        counts = np.random.default_rng(2).binomial(60, 0.3, 5_000)
+        counts[::7] = 0
+        total = _lgd_total(_chunk_rng(3, 0, 0), lgd, counts)
+        draws = lgd.draw(_chunk_rng(3, 0, 0), int(counts.sum()))
+        ends = np.cumsum(counts)
+        reference = [math.fsum(draws[e - n:e]) for n, e in zip(counts, ends)]
+        np.testing.assert_allclose(total, reference, rtol=1e-13, atol=0.0)
+        assert np.all(total[counts == 0] == 0.0) and np.all(total[counts > 0] > 0.0)
+
+    def test_no_defaults_give_exact_zeros(self):
+        total = _lgd_total(_chunk_rng(3, 0, 0), BetaLgd(0.45, 0.2), np.zeros(10, dtype=np.int64))
+        assert np.array_equal(total, np.zeros(10))
 
 
 class TestBenchmarks:
