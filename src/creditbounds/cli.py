@@ -276,6 +276,8 @@ def cmd_oracle(args) -> int:
                     "mc_s": round(t2 - t1, 3),
                     "write_s": round(time.perf_counter() - t3, 3),
                 })
+                # one exact distribution and one sample alive at a time
+                del exact, mc
         wall = time.perf_counter() - start
     (out_dir / "oracle_report.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     _write_meta(

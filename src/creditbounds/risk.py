@@ -15,7 +15,9 @@ sorts only those, and reads every level's tail as a slice of them; exact
 for each requested model family, a lower- and an upper-bound simulation
 per family plus the shared independence/comonotone benchmarks, AVaR at
 every level with batch-means standard errors (one sorted tail per sample
-and per batch), and a validity check of the ordering chain.
+and per batch), and a validity check of the ordering chain.  Each run is
+reduced to those numbers as soon as it ends, so a report holds one loss
+sample at a time.
 Every simulation draws from the scenario seed and its own run id
 (``model_run``), so no two runs share a stream.
 """
@@ -363,28 +365,37 @@ def _pooling(run: str, sample: LossSample) -> tuple:
 
 
 def risk_report(scenario: Scenario) -> RiskReport:
-    """Simulate a scenario and assemble its AVaR bound report."""
+    """Simulate a scenario and assemble its AVaR bound report.
+
+    Each run is reduced to its pooling, AVaR and standard errors as soon as
+    it ends, and its sample is dropped before the next run draws."""
     borrowers = scenario.borrowers
     mc = scenario.mc
     _warn_thin_tails(mc.samples, scenario.alphas)
 
     alphas = scenario.alphas
-    indep = simulate_independent(borrowers, mc.samples, mc.seed, mc.workers, run=0)
-    comon = simulate_comonotone(borrowers, mc.samples, mc.seed, mc.workers, run=1)
-    pooling = [_pooling("independent", indep), _pooling("comonotone", comon)]
-    (ai, si), (ac, sc) = _avar_with_se(indep, alphas), _avar_with_se(comon, alphas)
+    pooling = []
+
+    def summary(run: str, sample: LossSample) -> tuple[list, list]:
+        pooling.append(_pooling(run, sample))
+        return _avar_with_se(sample, alphas)
+
+    ai, si = summary("independent", simulate_independent(borrowers, mc.samples, mc.seed, mc.workers, run=0))
+    ac, sc = summary("comonotone", simulate_comonotone(borrowers, mc.samples, mc.seed, mc.workers, run=1))
     benchmarks = [BenchmarkRow(*row) for row in zip(alphas, ai, ac, si, sc)]
 
     rows = []
     for k, model in enumerate(scenario.models):
         lowers, uppers = bound_profiles(model, borrowers, scenario.point_copulas)
-        lo_sample = simulate_losses(lowers, borrowers, mc.samples, mc.seed, mc.workers, model_run(k, 0))
-        pooling.append(_pooling(f"{model} lower", lo_sample))
-        lo = up = _avar_with_se(lo_sample, alphas)
+        lo = up = summary(
+            f"{model} lower",
+            simulate_losses(lowers, borrowers, mc.samples, mc.seed, mc.workers, model_run(k, 0)),
+        )
         if uppers is not lowers:
-            up_sample = simulate_losses(uppers, borrowers, mc.samples, mc.seed, mc.workers, model_run(k, 1))
-            pooling.append(_pooling(f"{model} upper", up_sample))
-            up = _avar_with_se(up_sample, alphas)
+            up = summary(
+                f"{model} upper",
+                simulate_losses(uppers, borrowers, mc.samples, mc.seed, mc.workers, model_run(k, 1)),
+            )
         (alo, slo), (aup, sup) = lo, up
         rows.extend(BoundRow(model, *row) for row in zip(alphas, alo, aup, slo, sup))
 

@@ -17,11 +17,18 @@ its conditional default probability p(t).  Defaults are stochastically
 increasing in the factor, so p(t) is nondecreasing in t: a table of p at the
 edges of 4,096 uniform factor cells, widened by an absolute slack of 1e-12
 for rounding, bounds p on each cell and decides u < p for all but the draws
-whose uniform falls between those bounds.  Only those draws, and every draw
-in a cell where p may decrease, evaluate p itself (``_PdTable``).  Every
-evaluated conditional default probability reads one shared ``Factor`` per
-chunk (per quadrature batch on the exact path), so each factor transform
-runs at most once.
+whose uniform falls between those bounds.  Only those draws, the band, and
+every draw in a cell where p may decrease evaluate p itself (``_PdTable``).
+A singleton with deterministic LGD settles its band once per run: each
+chunk records the band draws' positions, factor values and uniforms, and
+after the last chunk every table evaluates p once over all of its band
+draws and the scenarios they touch are summed again in group order, so
+each loss keeps the bits of the draw-by-draw loop (``_settle_bands``).  A
+beta-LGD singleton settles its band inside the chunk, because how many LGD
+values it draws depends on its defaults.  Every evaluated conditional
+default probability reads one shared ``Factor`` per chunk (per quadrature
+batch on the exact path, and one per process for the table edges), so each
+factor transform runs at most once.
 
 The exact path integrates the product of the groups' conditional binomial
 pmfs over the factor.  It splits the pooled groups into a prefix A and a
@@ -224,7 +231,7 @@ class _PdTable:
 
     def __init__(self, profile):
         self.profile = profile
-        p = self.pd(Factor(np.linspace(0.0, 1.0, _PD_CELLS + 1)))
+        p = self.pd(_table_edges())
         self.lo, self.hi = p[:-1] - _PD_SLACK, p[1:] + _PD_SLACK
         monotone = np.diff(p) >= 0.0
         near = np.floor(_breakpoints(profile) * _PD_CELLS).astype(int)
@@ -234,32 +241,88 @@ class _PdTable:
     def pd(self, f: Factor) -> np.ndarray:
         return _checked_pd(np.clip(self.profile._cpd(f), 0.0, 1.0))
 
+    def decide(self, rng, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Uniforms u of draws in the table cells ``cell``, the defaults the
+        table decides (u < lo), and the band: the draws it leaves to p."""
+        u = rng.random(cell.size)
+        hit = u < self.lo[cell]
+        return u, hit, np.flatnonzero((u < self.hi[cell]) ^ hit)
+
     def draw(self, rng, f: Factor, cell: np.ndarray) -> tuple[np.ndarray, int]:
         """Defaults at the factor f, whose table cells are ``cell``, and the
         number of draws whose pd was evaluated."""
-        u = rng.random(cell.size)
-        hit = u < self.lo[cell]
-        band = np.flatnonzero((u < self.hi[cell]) ^ hit)
+        u, hit, band = self.decide(rng, cell)
         if band.size:
             hit[band] = u[band] < self.pd(f[band])
         return hit, band.size
 
 
-def _run_chunks(samples: int, seed: int, run: int, workers: int, chunk_fn) -> np.ndarray:
-    out = np.empty(samples)
+@functools.cache
+def _table_edges() -> Factor:
+    """Read-only factor at the pd-table cell edges, shared by every table,
+    with the transforms of the copula conditionals computed once."""
+    f = Factor(np.linspace(0.0, 1.0, _PD_CELLS + 1))
+    c = f.clipped
+    for a in (f.t, c.t, c.ppf, c.log, c.flip.t, c.flip.log):
+        a.setflags(write=False)
+    return f
+
+
+def _run_chunks(samples: int, seed: int, run: int, workers: int, chunk_fn) -> tuple[np.ndarray, list]:
+    """Losses of every chunk and the chunk results in chunk order:
+    ``chunk_fn(rng, loss)`` adds one chunk's losses into ``loss``, its zeroed
+    slice of the output."""
+    out = np.zeros(samples)
     bounds = _chunk_bounds(samples)
 
-    def task(ci: int) -> None:
+    def task(ci: int):
         lo, hi = bounds[ci]
-        out[lo:hi] = chunk_fn(_chunk_rng(seed, run, ci), hi - lo)
+        return chunk_fn(_chunk_rng(seed, run, ci), out[lo:hi])
 
     if workers <= 1 or len(bounds) == 1:
-        for ci in range(len(bounds)):
-            task(ci)
+        results = [task(ci) for ci in range(len(bounds))]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(task, range(len(bounds))))
-    return out
+            results = list(pool.map(task, range(len(bounds))))
+    return out, results
+
+
+@dataclass(frozen=True, eq=False)
+class _Deferred:
+    """Band draws a chunk left to its deterministic-LGD tables.
+
+    ``touched`` are the chunk positions in any band.  Group g's loss term
+    there is ``scales[g] * values[g]`` (``simulate_losses``): the defaults
+    of a deterministic-LGD singleton, False at its own band draws, or the
+    LGD total of any other group.  ``bands[j]`` holds the (column in
+    ``touched``, factor value, uniform) arrays of the j-th deferring table.
+    """
+
+    loss: np.ndarray
+    touched: np.ndarray
+    values: list
+    bands: list
+
+
+def _settle_bands(deferred: list, scales: list, tables: dict) -> None:
+    """Evaluate each deferring table's pd once over its band draws from every
+    chunk, then sum the touched scenarios' terms again in group order;
+    ``tables`` maps the deferring groups' indices, in order, to their tables."""
+    offsets = np.cumsum([0] + [d.touched.size for d in deferred])
+    band_of = {g: j for j, g in enumerate(tables)}
+    total = np.zeros(offsets[-1])
+    for g, scale in enumerate(scales):
+        values = np.concatenate([d.values[g] for d in deferred])
+        if g in band_of:
+            bands = [d.bands[band_of[g]] for d in deferred]
+            cols = np.concatenate([c + off for (c, _, _), off in zip(bands, offsets)])
+            if cols.size:
+                t = np.concatenate([t for _, t, _ in bands])
+                u = np.concatenate([u for _, _, u in bands])
+                values[cols] = u < tables[g].pd(Factor(t))
+        total += scale * values
+    for d, a, b in zip(deferred, offsets[:-1], offsets[1:]):
+        d.loss[d.touched] = total[a:b]
 
 
 def _validate_alignment(profiles, borrowers) -> None:
@@ -285,8 +348,9 @@ def simulate_losses(
     their default counts directly, faster than the binomial route.  Every
     other group of one borrower defaults where a uniform falls below its pd,
     which its pd table (``_PdTable``) decides for most draws without
-    evaluating it.  The sample records the pooled group sizes and the share
-    of the table-drawn draws that evaluated their pd.
+    evaluating it; a deterministic-LGD singleton's table evaluates it once per
+    run (``_settle_bands``).  The sample records the pooled group sizes and
+    the share of the table-drawn draws that evaluated their pd.
     """
     _validate_alignment(profiles, portfolio)
     groups = _pool(portfolio, profiles)
@@ -296,43 +360,65 @@ def simulate_losses(
         else None
         for g in groups
     ]
-    evaluated = []  # pds evaluated per chunk; list.append is atomic across threads
-
     n_tables = sum(t is not None for t in tables)
+    # a deterministic-LGD singleton's loss term is (weight * value) * its
+    # default bit, weight * (value * count) bit for bit because the count is
+    # 0 or 1; any other group's is weight * its LGD total
+    bits = [
+        g.n == 1 and isinstance(g.lgd, DeterministicLgd) and not isinstance(g.profile, ComonotoneProfile)
+        for g in groups
+    ]
+    scales = [g.weight * g.lgd.value if b else g.weight for g, b in zip(groups, bits)]
+    # the tables whose band draws wait for the end of the run, by group index
+    deferring = {i: t for i, (t, b) in enumerate(zip(tables, bits)) if t is not None and b}
 
-    def chunk(rng, m):
+    def chunk(rng, loss):
+        m = loss.size
         f = Factor(_stratified(rng, m))
         cell = _cell(f.t, _PD_CELLS) if n_tables else None
-        loss = np.zeros(m)
         n_eval = 0
-        for grp, table in zip(groups, tables):
+        values, bands = [], []  # per group, and (band, t, u) per deferring table
+        for grp, table, scale, bit in zip(groups, tables, scales, bits):
             p = grp.profile
             if isinstance(p, ComonotoneProfile):
                 counts = grp.n * (f.t >= 1.0 - p.pd).astype(np.int64)
             elif grp.n == 1:
                 if table is None:
-                    hit = rng.random(m) < p.pd
+                    counts = rng.random(m) < p.pd
+                elif bit:
+                    u, counts, band = table.decide(rng, cell)
+                    bands.append((band, f.t[band], u[band]))
+                    n_eval += band.size
                 else:
-                    hit, k = table.draw(rng, f, cell)
+                    counts, k = table.draw(rng, f, cell)
                     n_eval += k
-                if isinstance(grp.lgd, DeterministicLgd):
-                    # multiplying by 0 or 1 is exact: weight * (value * count) bit for bit
-                    loss += (grp.weight * grp.lgd.value) * hit
-                    continue
-                counts = hit
             elif isinstance(p, IndependentProfile):
                 counts = rng.binomial(grp.n, p.pd, size=m)
             else:
                 counts = rng.binomial(grp.n, np.clip(p._cpd(f), 0.0, 1.0))
-            loss += grp.weight * _lgd_total(rng, grp.lgd, counts)
-        evaluated.append(n_eval)
-        return loss
+            v = counts if bit else _lgd_total(rng, grp.lgd, counts)
+            loss += scale * v
+            if deferring:
+                values.append(v)
+        if deferring:
+            touched = np.unique(np.concatenate([band for band, _, _ in bands]))
+            if touched.size:
+                return n_eval, _Deferred(
+                    loss,
+                    touched,
+                    [v[touched] for v in values],
+                    [(np.searchsorted(touched, band), t, u) for band, t, u in bands],
+                )
+        return n_eval, None
 
-    losses = _run_chunks(samples, seed, run, workers, chunk)
+    losses, results = _run_chunks(samples, seed, run, workers, chunk)
+    deferred = [d for _, d in results if d is not None]
+    if deferred:
+        _settle_bands(deferred, scales, deferring)
     return LossSample(
         losses,
         group_sizes=tuple(g.n for g in groups),
-        exact_pd_share=sum(evaluated) / (samples * n_tables) if n_tables else None,
+        exact_pd_share=sum(n for n, _ in results) / (samples * n_tables) if n_tables else None,
     )
 
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from creditbounds import risk
-from creditbounds.portfolio import DeterministicLgd, homogeneous_portfolio, scenario_from_dict
+from creditbounds.portfolio import DeterministicLgd, homogeneous_portfolio, load_scenario, scenario_from_dict
 from creditbounds.profiles import gaussian_profile
 from creditbounds.risk import (
     BenchmarkRow,
@@ -280,3 +281,24 @@ class TestRiskReport:
         report = risk_report(_tiny_scenario(("gauss_clayton",), samples=100_000))
         row = report.row("gauss_clayton", 0.95)
         assert row.avar_lower < row.avar_upper
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("name", ["scenario1", "idb_scenario1"])
+    def test_report_holds_one_sample_at_a_time(self, fixtures_dir, name):
+        samples = 200_000
+        scenario = load_scenario(fixtures_dir / f"{name}.json")
+
+        def at(n):
+            return dataclasses.replace(scenario, mc=dataclasses.replace(scenario.mc, samples=n, workers=1))
+
+        # one-off imports and per-process caches stay out of the peak
+        risk_report(at(2_000))
+        tracemalloc.start()
+        try:
+            risk_report(at(samples))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one run's sample and the copy its AVaR partitions, plus pd tables
+        # and chunk buffers; samples that outlive their runs need several more
+        assert peak < 3.5 * samples * 8

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+from creditbounds import simulate
 from creditbounds.copulas import Clayton, Factor
 from creditbounds.portfolio import BetaLgd, Borrower, DeterministicLgd, homogeneous_portfolio
 from creditbounds.profiles import (
@@ -25,6 +26,7 @@ from creditbounds.simulate import (
     _N_BATCHES,
     _T_MAX,
     LossSample,
+    _PdTable,
     _checked_pd,
     _chunk_bounds,
     _chunk_rng,
@@ -73,9 +75,9 @@ def _all_evaluated(profiles, borrowers, samples, seed):
     draw and defaults it where its uniform falls below."""
     groups = _pool(borrowers, profiles)
 
-    def chunk(rng, m):
+    def chunk(rng, loss):
+        m = loss.size
         f = Factor(_stratified(rng, m))
-        loss = np.zeros(m)
         for grp in groups:
             p = grp.profile
             if isinstance(p, ComonotoneProfile):
@@ -87,9 +89,8 @@ def _all_evaluated(profiles, borrowers, samples, seed):
             else:
                 counts = rng.binomial(grp.n, np.clip(p._cpd(f), 0.0, 1.0))
             loss += grp.weight * _lgd_total(rng, grp.lgd, counts)
-        return loss
 
-    return _run_chunks(samples, seed, 0, 1, chunk)
+    return _run_chunks(samples, seed, 0, 1, chunk)[0]
 
 
 def _assert_matches_all_evaluated(profiles, borrowers, samples, seed):
@@ -337,6 +338,87 @@ class TestPdTable:
         profiles, borrowers = self._with_gaussian(GridProfile(knots, 0.2))
         with pytest.raises(ValueError, match="NaN"):
             simulate_losses(profiles, borrowers, 100, seed=1)
+
+
+class TestDeferredBands:
+    """Deterministic-LGD singletons settle their band draws once per run."""
+
+    @staticmethod
+    def _mixed():
+        """Deterministic and beta singletons on tables, a pooled group of
+        three, an independent singleton and comonotone members."""
+        det, beta = DeterministicLgd(0.45), BetaLgd(0.45, 0.2)
+        specs = [
+            ("gaussian", 0, 0.02, det), ("clayton", 1, 0.3, det), ("gauss_clayton", 1, 0.05, det),
+            ("survival_clayton", 1, 0.1, det), ("gaussian", 1, 0.04, beta), ("clayton", 0, 0.2, beta),
+        ]
+        borrowers, profiles = [], []
+        for i, (model, side, pd, lgd) in enumerate(specs):
+            b = Borrower(f"s{i}", pd, 0.05 + 0.01 * i, lgd, (0.1, 0.3), 0.2)
+            borrowers.append(b)
+            profiles.append(MODELS[model].bounds(b, Clayton(b.theta_point))[side])
+        pool = Borrower("pool", 0.05, 0.04, det, (0.1, 0.3), 0.2)
+        borrowers += [pool] * 3
+        profiles += [MODELS["gaussian"].bounds(pool, None)[1]] * 3
+        borrowers.append(Borrower("indep", 0.1, 0.07, det, (0.1, 0.3), 0.2))
+        profiles.append(IndependentProfile(0.1))
+        for i, lgd in enumerate([det, det, beta]):
+            borrowers.append(Borrower(f"c{i}", 0.03, 0.02 + 0.01 * i, lgd, (0.1, 0.3), 0.2))
+            profiles.append(ComonotoneProfile(0.03))
+        return profiles, borrowers
+
+    @pytest.mark.filterwarnings("ignore:pointwise min of the profile family")
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_mixed_portfolio_matches_the_all_evaluated_draws(self, monkeypatch, workers):
+        monkeypatch.setattr(simulate, "_CHUNK", 700)
+        profiles, borrowers = self._mixed()
+        samples = 30_001
+        assert len(_chunk_bounds(samples)) >= 2 * _N_BATCHES
+        settled = []
+        settle = simulate._settle_bands
+
+        def spy(deferred, *args):
+            settled.append(len(deferred))
+            settle(deferred, *args)
+
+        monkeypatch.setattr(simulate, "_settle_bands", spy)
+        reference = _all_evaluated(profiles, borrowers, samples, seed=12)
+        sample = simulate_losses(profiles, borrowers, samples, seed=12, workers=workers)
+        assert np.array_equal(sample.losses, reference)
+        # one settlement per run, over band draws from many chunks
+        assert len(settled) == 1 and settled[0] > _N_BATCHES
+
+    def test_nan_reached_only_by_a_deferred_band_raises(self):
+        # a dip in every third step makes every table cell non-monotone, so
+        # all draws fall in the band; the NaN steps lie inside one cell,
+        # away from the table edges, which read every third step
+        knots = np.concatenate([[0.0], np.cumsum(TestPdTable.ZIGZAG) / TestPdTable.ZIGZAG.size])
+        knots[3 * 2000 + 2] = np.nan
+        profile = GridProfile(knots, float(knots[-1]))
+        assert np.all(_PdTable(profile).lo == 0.0)
+        profiles, borrowers = TestPdTable()._with_gaussian(profile)
+        with pytest.raises(ValueError, match="NaN"):
+            simulate_losses(profiles, borrowers, 40_000, seed=1)
+
+    @pytest.mark.filterwarnings("ignore:pointwise min of the profile family")
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_each_table_evaluates_its_pd_once_per_run(self, monkeypatch, workers):
+        monkeypatch.setattr(simulate, "_CHUNK", 500)
+        calls = {}
+        pd = _PdTable.pd
+
+        def counting(self, f):
+            calls[id(self)] = calls.get(id(self), 0) + 1
+            return pd(self, f)
+
+        monkeypatch.setattr(_PdTable, "pd", counting)
+        profiles, borrowers = self._mixed()
+        # the deterministic-LGD singletons only
+        sample = simulate_losses(profiles[:4], borrowers[:4], 40_000, seed=5, workers=workers)
+        assert sample.exact_pd_share > 0.0
+        # once for the table, and once for the band draws of all 80 chunks
+        # unless none of them fell in the band
+        assert len(calls) == 4 and max(calls.values()) == 2 and min(calls.values()) >= 1
 
 
 class TestStreams:
