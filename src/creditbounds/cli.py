@@ -233,8 +233,6 @@ def cmd_oracle(args) -> int:
     with _recorded_warnings() as fired:
         scenario = _resolve_scenario(args)
         out_dir.mkdir(parents=True, exist_ok=True)
-        # the exact path's scipy.stats takes most of a second to import: not in any exact_s
-        import scipy.stats  # noqa: F401
         start = time.perf_counter()
         for k, model in enumerate(scenario.models):
             lowers, uppers = bound_profiles(model, scenario.borrowers, scenario.point_copulas)

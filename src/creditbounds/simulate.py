@@ -34,7 +34,9 @@ The exact path integrates the product of the groups' conditional binomial
 pmfs over the factor.  It splits the pooled groups into a prefix A and a
 suffix B of about equal combination counts and contracts the quadrature
 with one matrix product, weights[a, b] = sum_q w_q P_A[q, a] P_B[q, b], so
-no (nodes x support) array is ever built.
+no (nodes x support) array is ever built.  The pmfs are its own numpy code
+(``_binomial_pmf``): the closed form (1 - p, p) for a group of one, and
+Loader's (2000) saddle-point form, as in R's ``dbinom``, for pooled groups.
 """
 
 from __future__ import annotations
@@ -479,16 +481,87 @@ def _gauss_legendre(quad_nodes: int):
     return t, wq
 
 
+# stirlerr(k) for k = 0..15 (0 is a placeholder)
+_STIRLERR = np.array([
+    0.0, 0.08106146679532725822, 0.04134069595540929409, 0.02767792568499833915,
+    0.02079067210376509311, 0.01664469118982119216, 0.01387612882307074800,
+    0.01189670994589177010, 0.01041126526197209650, 0.009255462182712732918,
+    0.008330563433362871256, 0.007573675487951840795, 0.006942840107209529866,
+    0.006408994188004207068, 0.005951370112758847736, 0.005554733551962801371,
+])
+# extended precision where numpy has it (80-bit on x86-64): the far tails'
+# log-pmf sums terms of size k log k that cancel to the log of a small number,
+# and plain double there costs about two digits
+_LD = np.longdouble
+
+
+def _stirlerr(k: np.ndarray) -> np.ndarray:
+    """log k! - (k + 1/2) log k + k - log sqrt(2 pi) for integers k >= 1:
+    a table up to 15, then the asymptotic series."""
+    kk = k * k
+    s0, s1, s2, s3, s4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
+    # fewer series terms as k grows, with R's cut-offs
+    out = np.select(
+        [k > 500, k > 80, k > 35],
+        [(s0 - s1 / kk) / k, (s0 - (s1 - s2 / kk) / kk) / k, (s0 - (s1 - (s2 - s3 / kk) / kk) / kk) / k],
+        (s0 - (s1 - (s2 - (s3 - s4 / kk) / kk) / kk) / kk) / k,
+    )
+    small = k <= 15
+    out[small] = _STIRLERR[k[small]]
+    return out
+
+
+def _bd0(k: np.ndarray, klk: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """k log(k / m) + m - k for counts k (columns, with ``klk = k log k - k``)
+    and means m (rows).  Where |k - m| < 0.1 (k + m) it takes the series in
+    v = (k - m) / (k + m), which has no cancellation."""
+    out = klk - k * np.log(m) + m
+    near = (k > m * (9 / 11)) & (k < m * (11 / 9))
+    if near.any():
+        kn, mn = np.broadcast_to(k, out.shape)[near], np.broadcast_to(m, out.shape)[near]
+        d, kn = (kn - mn).astype(float), kn.astype(float)
+        v = d / (2.0 * kn - d)
+        s, term, v2 = d * v, 2.0 * kn * v, v * v
+        for j in range(3, 100, 2):
+            term *= v2
+            s, last = s + term / j, s
+            if np.array_equal(s, last):
+                break
+        out[near] = s
+    return out
+
+
+def _binomial_pmf(n: int, p: np.ndarray) -> np.ndarray:
+    """(p.size x n + 1) binomial pmf of n trials at success probabilities p.
+
+    One trial is the closed form (1 - p, p).  More trials take Loader's
+    (2000) saddle-point form, as in R's ``dbinom_raw``: count k has
+    exp(stirlerr(n) - stirlerr(k) - stirlerr(n - k) - bd0(k, np) -
+    bd0(n - k, nq)) / sqrt(2 pi k (n - k) / n), and counts 0 and n have
+    q^n and p^n.
+    """
+    if n == 1:
+        return np.stack([1.0 - p, p], axis=1)
+    se = _stirlerr(np.arange(1, n + 1))  # stirlerr(1..n)
+    k = np.arange(1, n)
+    lead = se[-1] - se[:-1] - se[-2::-1] - 0.5 * np.log(2.0 * math.pi * (k * (n - k)) / n)
+    kl = k.astype(_LD)
+    klk = kl * np.log(kl) - kl
+    pl = p.astype(_LD)[:, None]
+    log_pmf = np.empty((p.size, n + 1), dtype=_LD)
+    with np.errstate(divide="ignore"):
+        log_pmf[:, :1] = n * np.log1p(-pl)
+        log_pmf[:, n:] = n * np.log(pl)
+        log_pmf[:, 1:n] = lead - _bd0(kl, klk, n * pl) - _bd0(kl[::-1], klk[::-1], n * (1.0 - pl))
+    return np.exp(log_pmf.astype(float))
+
+
 def _combination_pmf(f: Factor, groups) -> np.ndarray:
     """(nodes x combinations) conditional pmf of the groups' default counts,
     the last group varying fastest."""
-    # imported here: scipy.stats takes most of a second and only this path needs it
-    from scipy.stats import binom
-
     probs = np.ones((f.t.size, 1))
     for grp in groups:
-        p = np.clip(grp.profile._cpd(f), 0.0, 1.0)
-        pmf = binom.pmf(np.arange(grp.n + 1)[None, :], grp.n, p[:, None])
+        pmf = _binomial_pmf(grp.n, _checked_pd(np.clip(grp.profile._cpd(f), 0.0, 1.0)))
         probs = (probs[:, :, None] * pmf[:, None, :]).reshape(f.t.size, -1)
     return probs
 
@@ -539,6 +612,7 @@ def exact_loss_distribution(profiles, portfolio, quad_nodes: int = 256) -> LossS
     is one matrix product between the conditional pmfs of a prefix and a
     suffix of the groups, each about the square root of the support in
     size; an all-independent set keeps every group in the prefix.
+    A NaN conditional pd raises ValueError, as on the Monte Carlo path.
     The returned weights sum to one within 1e-12.
     """
     _validate_alignment(profiles, portfolio)
@@ -558,7 +632,8 @@ def exact_loss_distribution(profiles, portfolio, quad_nodes: int = 256) -> LossS
         )
     sample = _exact_general(groups, quad_nodes)
     total = sample.weights.sum()
-    if abs(total - 1.0) > 1e-12:
+    # written so that a NaN total fails too
+    if not abs(total - 1.0) <= 1e-12:
         raise RuntimeError(f"exact distribution weights sum to {total!r}")
     return sample
 

@@ -407,32 +407,42 @@ class TestOracle:
         assert code == 1
         assert "support" in err and str(2**21) in err
 
-    def test_scipy_stats_loads_before_the_first_exact_timer(self, fixtures_dir, tmp_path):
-        # a fresh process: the oracle loads scipy.stats itself, before it times
-        # its first exact distribution
+    def test_oracle_and_bounds_leave_scipy_stats_unloaded(self, fixtures_dir, tmp_path):
+        # a fresh process: the exact path's binomial pmf is the package's own,
+        # for pooled groups (the 8-borrower example pools into one group) and
+        # for singletons alike
+        rows = ["name,amount,pd,lgd_kind,lgd_mean,lgd_vol,corr_lo,corr_hi"]
+        rows += [f"b{i},{2**i},0.1,deterministic,1.0,,0.15,0.25" for i in range(3)]
+        (tmp_path / "p.csv").write_text("\n".join(rows) + "\n")
+        doc = json.loads((fixtures_dir / "oracle_example.json").read_text())
+        doc["portfolio"] = {"kind": "csv", "path": "p.csv"}
+        singletons = tmp_path / "singletons.json"
+        singletons.write_text(json.dumps(doc))
         code = (
             "import contextlib, io, sys\n"
             "from creditbounds import cli\n"
-            "seen = []\n"
-            "real = cli.exact_loss_distribution\n"
-            "def exact(*args, **kwargs):\n"
-            "    seen.append('scipy.stats' in sys.modules)\n"
-            "    return real(*args, **kwargs)\n"
-            "cli.exact_loss_distribution = exact\n"
-            "before = 'scipy.stats' in sys.modules\n"
+            "status = []\n"
+            "for i, scenario in enumerate(sys.argv[1:3]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        status.append(cli.main(['oracle', '--scenario', scenario,\n"
+            "                                '--out', f'{sys.argv[3]}/{i}', '--samples', '2000']))\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    status = cli.main(['oracle', '--scenario', sys.argv[1], '--out', sys.argv[2],\n"
-            "                       '--samples', '2000'])\n"
-            "print(before, status, seen[0])\n"
+            "    status.append(cli.main(['bounds', '--scenario', sys.argv[1],\n"
+            "                            '--out', f'{sys.argv[3]}/b', '--samples', '2000']))\n"
+            "print(*status, 'scipy.stats' in sys.modules)\n"
         )
         src = str(Path(creditbounds.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
-            [sys.executable, "-c", code, str(fixtures_dir / "oracle_example.json"), str(tmp_path / "o")],
+            [sys.executable, "-c", code, str(fixtures_dir / "oracle_example.json"), str(singletons),
+             str(tmp_path / "o")],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
             timeout=60,
         )
-        assert out.stdout.split() == ["False", "0", "True"]
+        assert out.stdout.split() == ["0", "0", "0", "False"]
+        # three singletons with amounts 1, 2 and 4: 2^3 distinct losses
+        exact = json.loads((tmp_path / "o" / "1" / "meta.json").read_text())["exact"]
+        assert [row["support"] for row in exact] == [8, 8]
 
     def test_large_independent_support_rejected(self, fixtures_dir, tmp_path, capsys):
         # 26 borrowers pool into 26 groups: 2^26 support points
@@ -441,9 +451,6 @@ class TestOracle:
         doc["models"] = ["independent"]
         sc = tmp_path / "sc.json"
         sc.write_text(json.dumps(doc))
-        # the oracle imports scipy.stats up front; keep that import out of the peak
-        import scipy.stats  # noqa: F401
-
         tracemalloc.start()
         try:
             code, _, err = run(capsys, "oracle", "--scenario", str(sc), "--out", str(tmp_path / "o"))

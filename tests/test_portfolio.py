@@ -247,7 +247,7 @@ class TestScenario:
 
 
 def test_import_and_load_leave_scipy_stats_unloaded(fixtures_dir):
-    # scipy.stats takes most of a second to import and only the exact path
+    # scipy.stats takes most of a second to import and nothing in the package
     # needs it; a fresh process shows what `import creditbounds` pulls in
     code = "import sys, creditbounds\n" + "".join(
         f"creditbounds.load_scenario({str(fixtures_dir / name)!r})\n"

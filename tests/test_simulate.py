@@ -27,6 +27,7 @@ from creditbounds.simulate import (
     _T_MAX,
     LossSample,
     _PdTable,
+    _binomial_pmf,
     _checked_pd,
     _chunk_bounds,
     _chunk_rng,
@@ -621,13 +622,20 @@ class TestExactDistribution:
                 Borrower(f"b{len(borrowers) + i}", pd, weight, DeterministicLgd(lgd), (0.1, 0.2), 0.15)
                 for i in range(n)
             ]
-            pmf = binom.pmf(np.arange(n + 1), n, pd)
+            pmf = _binomial_pmf(n, np.array([pd]))[0]
             support = (support[:, None] + weight * lgd * np.arange(n + 1)[None, :]).ravel()
             probs = (probs[:, None] * pmf[None, :]).ravel()
         reference = _merge_support(support, probs)
         ex = exact_loss_distribution([IndependentProfile(b.pd) for b in borrowers], borrowers)
         assert np.array_equal(ex.losses, reference.losses)
         assert np.array_equal(ex.weights, reference.weights)
+
+    def test_nan_pd_raises(self):
+        knots = np.linspace(0.0, 0.2, 1001)
+        knots[400:601] = np.nan
+        profiles, borrowers = TestPdTable()._with_gaussian(GridProfile(knots, 0.2))
+        with pytest.raises(ValueError, match="NaN"):
+            exact_loss_distribution(profiles, borrowers)
 
     def test_scope_errors(self):
         # 25 pooled borrowers are 26 support points, far below the cap
@@ -710,6 +718,38 @@ class TestExactDistribution:
         assert not t.flags.writeable and not wq.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             t[0] = 0.5
+
+
+class TestBinomialPmf:
+    """The exact path's own binomial pmf against scipy.stats."""
+
+    # scipy.stats raises OverflowError for 0 < p < 1e-300 or so
+    PROBABILITIES = st.one_of(
+        st.sampled_from([0.0, 1.0, 1e-300, 1.0 - 1e-16]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0).map(lambda u: u**8),
+    ).filter(lambda p: p == 0.0 or p >= 1e-300)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2000), st.lists(PROBABILITIES, min_size=1, max_size=8))
+    def test_matches_scipy(self, n, probs):
+        p = np.array(probs)
+        pmf = _binomial_pmf(n, p)
+        reference = binom.pmf(np.arange(n + 1)[None, :], n, p[:, None])
+        assert pmf.shape == (p.size, n + 1)
+        assert np.all(np.isfinite(pmf)) and np.all(pmf >= 0.0)
+        compared = reference >= 1e-300
+        rel = np.abs(pmf[compared] - reference[compared]) / reference[compared]
+        assert rel.max() <= 1e-12
+        np.testing.assert_allclose(pmf.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+        if n == 1:
+            assert np.array_equal(pmf, np.stack([1.0 - p, p], axis=1))
+
+    @pytest.mark.parametrize("n", [1, 4, 2000])
+    def test_subnormal_p_puts_all_mass_on_zero(self, n):
+        pmf = _binomial_pmf(n, np.array([5e-324, 2.2250738585072014e-308]))
+        assert np.all(np.isfinite(pmf)) and np.all(pmf[:, 0] == 1.0)
+        assert np.all(pmf[:, 1:] < 1e-300)
 
 
 class TestLossSample:
