@@ -69,7 +69,9 @@ def _resolve_scenario(args) -> Scenario:
     return dataclasses.replace(scenario, mc=mc)
 
 
-def _config_hash(scenario: Scenario) -> str:
+def _config_hash(scenario: Scenario, **settings) -> str:
+    """Hash of the scenario and of any other ``settings`` that change the
+    outputs (the oracle's ``quad_nodes``)."""
     canonical = json.dumps(
         {
             "label": scenario.label,
@@ -82,16 +84,17 @@ def _config_hash(scenario: Scenario) -> str:
                 (b.name, b.pd, b.exposure_weight, repr(b.lgd), b.corr_interval, b.corr_point)
                 for b in scenario.borrowers
             ],
+            **settings,
         },
         sort_keys=True,
     )
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _write_meta(out_dir: Path, scenario: Scenario, wall_time: float, extra: dict) -> None:
+def _write_meta(out_dir: Path, scenario: Scenario, wall_time: float, extra: dict, **settings) -> None:
     meta = {
         "version": __version__,
-        "config_hash": _config_hash(scenario),
+        "config_hash": _config_hash(scenario, **settings),
         "label": scenario.label,
         "models": list(scenario.models),
         "alphas": list(scenario.alphas),
@@ -106,6 +109,7 @@ def _write_meta(out_dir: Path, scenario: Scenario, wall_time: float, extra: dict
             "cpu_count": os.cpu_count(),
         },
     }
+    meta.update(settings)
     meta.update(extra)
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
@@ -279,8 +283,7 @@ def cmd_oracle(args) -> int:
         wall = time.perf_counter() - start
     (out_dir / "oracle_report.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     _write_meta(
-        out_dir, scenario, wall,
-        {"quad_nodes": args.quad_nodes, "exact": exact_rows, "warnings": fired},
+        out_dir, scenario, wall, {"exact": exact_rows, "warnings": fired}, quad_nodes=args.quad_nodes
     )
     sys.stdout.write("\n".join(rows) + "\n")
     return 0 if all_pass else 2

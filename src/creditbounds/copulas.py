@@ -33,27 +33,17 @@ __all__ = [
     "Gaussian",
     "Clayton",
     "SurvivalClayton",
-    "CheckTolerances",
-    "CHECK_TOLS",
+    "CHECK_TOL",
     "clayton_theta_matching_gaussian",
     "is_pointwise_leq",
     "check_si",
 ]
 
 
-@dataclass(frozen=True)
-class CheckTolerances:
-    """Constants shared by the grid-based copula and profile checks.
-
-    ``absolute`` is the slack applied to sign conditions (2-increasingness,
-    concavity, pointwise ordering) whose exact value is zero up to floating
-    point noise.
-    """
-
-    absolute: float = 1e-9
-
-
-CHECK_TOLS = CheckTolerances()
+# slack of the grid-based copula and profile checks on sign conditions
+# (2-increasingness, concavity, pointwise ordering) whose exact value is zero
+# up to floating point noise
+CHECK_TOL = 1e-9
 
 
 def _as_unit(x, name):
@@ -380,7 +370,7 @@ def is_pointwise_leq(a: Copula, b: Copula, grid_n: int = 64) -> bool:
     g = _open_grid(grid_n)
     u = g[:, None]
     v = g[None, :]
-    return bool(np.all(a.cdf(u, v) <= b.cdf(u, v) + CHECK_TOLS.absolute))
+    return bool(np.all(a.cdf(u, v) <= b.cdf(u, v) + CHECK_TOL))
 
 
 def check_si(c: Copula, grid_n: int = 64) -> bool:
@@ -394,4 +384,4 @@ def check_si(c: Copula, grid_n: int = 64) -> bool:
     g = _open_grid(grid_n)
     cvals = c.cdf(g[:, None], g[None, :])
     second = cvals[:, 2:] - 2.0 * cvals[:, 1:-1] + cvals[:, :-2]
-    return bool(np.all(second <= CHECK_TOLS.absolute))
+    return bool(np.all(second <= CHECK_TOL))

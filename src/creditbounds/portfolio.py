@@ -368,6 +368,11 @@ class Scenario:
         for a in self.alphas:
             if not (0.0 < a < 1.0):
                 raise ValueError(f"confidence levels must lie in (0, 1), got {a}")
+        # each model and level names one row of the report and one entry of meta.json
+        for name, values in (("models", self.models), ("alphas", self.alphas)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"scenario field {name!r} lists {repeated[0]!r} more than once")
 
 
 def _number(value, where: str, kind=float):

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .copulas import CHECK_TOLS, Copula, Factor, Gaussian, Clayton, SurvivalClayton, check_si
+from .copulas import CHECK_TOL, Copula, Factor, Gaussian, Clayton, SurvivalClayton, check_si
 from .copulas import _as_open_unit, _as_unit, _scalar_or_array
 
 __all__ = [
@@ -67,6 +67,18 @@ def _cell(t: np.ndarray, n: int) -> np.ndarray:
     return np.clip((t * n).astype(int), 0, n - 1)
 
 
+def _checked_pd(p: np.ndarray) -> np.ndarray:
+    """p unchanged, or a ValueError for p outside [0, 1] or NaN."""
+    if p.size and not (0.0 <= p.min() and p.max() <= 1.0):
+        raise ValueError("p < 0, p > 1 or p contains NaNs")
+    return p
+
+
+def _downward_steps(steps: np.ndarray) -> np.ndarray:
+    """Cell edges where a step function over uniform cells of [0, 1] decreases."""
+    return (np.flatnonzero(np.diff(steps) < 0.0) + 1) / steps.size
+
+
 class DefaultProfile(ABC):
     """Interface shared by all default integral functions."""
 
@@ -92,11 +104,18 @@ class DefaultProfile(ABC):
         s = _as_unit(s, "s")
         return _scalar_or_array(self._g(s), s)
 
+    def _pd_at(self, f: Factor) -> np.ndarray:
+        """G'(t) on the factor f clipped to [0, 1]; a NaN raises ValueError."""
+        return _checked_pd(np.clip(self._cpd(f), 0.0, 1.0))
+
+    def _breakpoints(self) -> np.ndarray:
+        """Factor levels where the conditional pd may decrease."""
+        return np.empty(0)
+
     def conditional_pd(self, t):
         """Conditional default probability at factor level t in (0, 1)."""
         t = _as_open_unit(t, "t")
-        return _scalar_or_array(
-            np.clip(self._cpd(Factor(t.ravel())), 0.0, 1.0).reshape(t.shape), t)
+        return _scalar_or_array(self._pd_at(Factor(t.ravel())).reshape(t.shape), t)
 
 
 @dataclass(frozen=True)
@@ -188,6 +207,10 @@ class GridProfile(DefaultProfile):
     def _cpd(self, f):
         return self._slopes()[_cell(f.t, self._n_cells)]
 
+    def _breakpoints(self):
+        # nothing requires the knots of a grid profile to be convex
+        return _downward_steps(self._slopes())
+
     def group_key(self):
         return ("grid", self.pd, self.knots.tobytes())
 
@@ -258,6 +281,11 @@ class EnvelopeProfile(DefaultProfile):
             mask = (f.t > a) & (f.t < b)
             out[mask] = (gb - ga) / (b - a)
         return out
+
+    def _breakpoints(self):
+        """The selection boundaries and the bridge ends."""
+        boundaries, _ = self._selection
+        return np.concatenate([boundaries, [x for a, b, *_ in self.bridges for x in (a, b)]])
 
     def group_key(self):
         return ("envelope", self.take, self.pd, self.bridges,
@@ -343,6 +371,10 @@ class TabulatedPdCurve:
     def _cpd(self, f):
         return self.values[_cell(f.t, self.values.size)]
 
+    def _breakpoints(self):
+        return _downward_steps(self.values)
+
+    _pd_at = DefaultProfile._pd_at
     conditional_pd = DefaultProfile.conditional_pd
 
     def group_key(self):
@@ -360,18 +392,17 @@ def validate_profile(profile) -> None:
     s = np.linspace(0.0, 1.0, PROFILE_GRID_N)
     g = profile._g(s)
     h = s[1] - s[0]
-    tol = CHECK_TOLS.absolute
     if abs(g[0]) > 1e-12:
         raise ValueError(f"G(0) = {g[0]:.3e} is not 0")
     if abs(g[-1] - profile.pd) > 1e-9:
         raise ValueError(f"G(1) = {g[-1]:.10f} does not match pd = {profile.pd}")
     steps = np.diff(g)
-    if np.any(steps < -tol):
+    if np.any(steps < -CHECK_TOL):
         raise ValueError("G is not increasing")
-    if np.any(steps > h + tol):
+    if np.any(steps > h + CHECK_TOL):
         raise ValueError("G violates the unit Lipschitz bound")
     second = g[2:] - 2.0 * g[1:-1] + g[:-2]
-    if np.any(second < -tol):
+    if np.any(second < -CHECK_TOL):
         raise ValueError("G is not convex")
 
 
@@ -472,9 +503,8 @@ def check_membership(profile, env: ProfileEnvelope) -> bool:
         raise ValueError("profile and envelope default probabilities differ")
     s = np.linspace(0.0, 1.0, PROFILE_GRID_N)
     g = profile._g(s)
-    tol = CHECK_TOLS.absolute
     return bool(
-        np.all(env.upper._g(s) <= g + tol) and np.all(g <= env.lower._g(s) + tol)
+        np.all(env.upper._g(s) <= g + CHECK_TOL) and np.all(g <= env.lower._g(s) + CHECK_TOL)
     )
 
 
@@ -488,8 +518,7 @@ def curve_table(profile):
     s = np.linspace(0.0, 1.0, PROFILE_GRID_N)
     g = profile._g(s)
     t = np.clip(s, 1e-12, 1.0 - 1e-12)
-    p = np.clip(profile._cpd(Factor(t)), 0.0, 1.0)
-    return s, g, p
+    return s, g, profile._pd_at(Factor(t))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ increasing in the factor, so p(t) is nondecreasing in t: a table of p at the
 edges of 4,096 uniform factor cells, widened by an absolute slack of 1e-12
 for rounding, bounds p on each cell and decides u < p for all but the draws
 whose uniform falls between those bounds.  Only those draws, the band, and
-every draw in a cell where p may decrease evaluate p itself (``_PdTable``).
+every draw in a cell where p may decrease (a table that decreases, or a
+breakpoint the profile reports) evaluate p itself (``_PdTable``).
 A singleton with deterministic LGD settles its band once per run: each
 chunk records the band draws' positions, factor values and uniforms, and
 after the last chunk every table evaluates p once over all of its band
@@ -26,9 +27,11 @@ draws and the scenarios they touch are summed again in group order, so
 each loss keeps the bits of the draw-by-draw loop (``_settle_bands``).  A
 beta-LGD singleton settles its band inside the chunk, because how many LGD
 values it draws depends on its defaults.  Every evaluated conditional
-default probability reads one shared ``Factor`` per chunk (per quadrature
-batch on the exact path, and one per process for the table edges), so each
-factor transform runs at most once.
+default probability comes from the profile's one clipped and checked call
+(``_pd_at``), so a NaN raises ValueError on every path.  It reads one
+shared ``Factor`` per chunk (per quadrature batch on the exact path, and
+one per process for the table edges), so each factor transform runs at
+most once.
 
 The exact path integrates the product of the groups' conditional binomial
 pmfs over the factor.  It splits the pooled groups into a prefix A and a
@@ -50,14 +53,7 @@ import numpy as np
 
 from .copulas import Factor
 from .portfolio import DeterministicLgd
-from .profiles import (
-    ComonotoneProfile,
-    EnvelopeProfile,
-    GridProfile,
-    IndependentProfile,
-    TabulatedPdCurve,
-    _cell,
-)
+from .profiles import ComonotoneProfile, IndependentProfile, _cell
 
 __all__ = [
     "LossSample",
@@ -190,33 +186,10 @@ def _lgd_total(rng, lgd, counts: np.ndarray) -> np.ndarray:
     return total
 
 
-def _checked_pd(p: np.ndarray) -> np.ndarray:
-    """p unchanged, or a ValueError for p outside [0, 1] or NaN."""
-    if p.size and not (0.0 <= p.min() and p.max() <= 1.0):
-        raise ValueError("p < 0, p > 1 or p contains NaNs")
-    return p
-
-
 # uniform factor cells of a singleton's pd table, and the absolute slack by
 # which an evaluated pd may fall short of (or exceed) the table's edge values
 _PD_CELLS = 1 << 12
 _PD_SLACK = 1e-12
-
-
-def _breakpoints(profile) -> np.ndarray:
-    """Factor levels where the profile's pd may decrease: an envelope's
-    selection boundaries and bridge ends, and the downward steps of a grid
-    profile or a tabulated curve, which nothing requires to be monotone."""
-    if isinstance(profile, EnvelopeProfile):
-        boundaries, _ = profile._selection
-        return np.concatenate([boundaries, [x for a, b, *_ in profile.bridges for x in (a, b)]])
-    if isinstance(profile, GridProfile):
-        steps = profile._slopes()
-    elif isinstance(profile, TabulatedPdCurve):
-        steps = profile.values
-    else:
-        return np.empty(0)
-    return (np.flatnonzero(np.diff(steps) < 0.0) + 1) / steps.size
 
 
 class _PdTable:
@@ -236,12 +209,12 @@ class _PdTable:
         p = self.pd(_table_edges())
         self.lo, self.hi = p[:-1] - _PD_SLACK, p[1:] + _PD_SLACK
         monotone = np.diff(p) >= 0.0
-        near = np.floor(_breakpoints(profile) * _PD_CELLS).astype(int)
+        near = np.floor(profile._breakpoints() * _PD_CELLS).astype(int)
         monotone[np.clip(np.concatenate([near - 1, near, near + 1]), 0, _PD_CELLS - 1)] = False
         self.lo[~monotone], self.hi[~monotone] = 0.0, np.inf
 
     def pd(self, f: Factor) -> np.ndarray:
-        return _checked_pd(np.clip(self.profile._cpd(f), 0.0, 1.0))
+        return self.profile._pd_at(f)
 
     def decide(self, rng, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Uniforms u of draws in the table cells ``cell``, the defaults the
@@ -346,13 +319,14 @@ def simulate_losses(
     conditionally independent defaults with each borrower's conditional
     default probability, iid LGD draws, exposure-weighted aggregation.
 
-    ``run`` keys the streams with ``seed``.  The dependence extremes draw
-    their default counts directly, faster than the binomial route.  Every
-    other group of one borrower defaults where a uniform falls below its pd,
-    which its pd table (``_PdTable``) decides for most draws without
-    evaluating it; a deterministic-LGD singleton's table evaluates it once per
-    run (``_settle_bands``).  The sample records the pooled group sizes and
-    the share of the table-drawn draws that evaluated their pd.
+    ``run`` keys the streams with ``seed``.  A comonotone group defaults
+    where the factor passes its threshold 1 - pd, and an independent
+    singleton where a uniform falls below its pd.  Any other singleton does
+    too, but its pd table (``_PdTable``) decides most draws without
+    evaluating the pd; a deterministic-LGD singleton's table evaluates it
+    once per run (``_settle_bands``).  Every other pooled group draws a
+    binomial count at its pd.  The sample records the pooled group sizes
+    and the share of the table-drawn draws that evaluated their pd.
     """
     _validate_alignment(profiles, portfolio)
     groups = _pool(portfolio, profiles)
@@ -364,12 +338,9 @@ def simulate_losses(
     ]
     n_tables = sum(t is not None for t in tables)
     # a deterministic-LGD singleton's loss term is (weight * value) * its
-    # default bit, weight * (value * count) bit for bit because the count is
+    # default count, weight * (value * count) bit for bit because the count is
     # 0 or 1; any other group's is weight * its LGD total
-    bits = [
-        g.n == 1 and isinstance(g.lgd, DeterministicLgd) and not isinstance(g.profile, ComonotoneProfile)
-        for g in groups
-    ]
+    bits = [g.n == 1 and isinstance(g.lgd, DeterministicLgd) for g in groups]
     scales = [g.weight * g.lgd.value if b else g.weight for g, b in zip(groups, bits)]
     # the tables whose band draws wait for the end of the run, by group index
     deferring = {i: t for i, (t, b) in enumerate(zip(tables, bits)) if t is not None and b}
@@ -394,10 +365,8 @@ def simulate_losses(
                 else:
                     counts, k = table.draw(rng, f, cell)
                     n_eval += k
-            elif isinstance(p, IndependentProfile):
-                counts = rng.binomial(grp.n, p.pd, size=m)
             else:
-                counts = rng.binomial(grp.n, np.clip(p._cpd(f), 0.0, 1.0))
+                counts = rng.binomial(grp.n, p._pd_at(f))
             v = counts if bit else _lgd_total(rng, grp.lgd, counts)
             loss += scale * v
             if deferring:
@@ -561,7 +530,7 @@ def _combination_pmf(f: Factor, groups) -> np.ndarray:
     the last group varying fastest."""
     probs = np.ones((f.t.size, 1))
     for grp in groups:
-        pmf = _binomial_pmf(grp.n, _checked_pd(np.clip(grp.profile._cpd(f), 0.0, 1.0)))
+        pmf = _binomial_pmf(grp.n, grp.profile._pd_at(f))
         probs = (probs[:, :, None] * pmf[:, None, :]).reshape(f.t.size, -1)
     return probs
 

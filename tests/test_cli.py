@@ -305,7 +305,7 @@ class TestOracle:
         scenario = scenario_from_dict(
             json.loads((fixtures_dir / "oracle_example.json").read_text())
         )
-        assert meta["config_hash"] == _config_hash(scenario)
+        assert meta["config_hash"] == _config_hash(scenario, quad_nodes=256)
         assert meta["environment"]["numpy"] == np.__version__
         assert meta["warnings"] == []
         assert meta["quad_nodes"] == 256
@@ -315,6 +315,18 @@ class TestOracle:
         assert row["weight_sum_error"] <= 1e-12
         for key in ("exact_s", "mc_s", "write_s"):
             assert isinstance(row[key], float) and row[key] >= 0.0
+
+    def test_config_hash_covers_quad_nodes(self, fixtures_dir, tmp_path, capsys):
+        hashes = []
+        for nodes in ("64", "256"):
+            out = tmp_path / nodes
+            code, _, _ = run(
+                capsys, "oracle", "--scenario", str(fixtures_dir / "oracle_example.json"),
+                "--out", str(out), "--samples", "2000", "--quad-nodes", nodes,
+            )
+            assert code == 0
+            hashes.append(json.loads((out / "meta.json").read_text())["config_hash"])
+        assert hashes[0] != hashes[1]
 
     @staticmethod
     def _exact_distributions(scenario_path):

@@ -195,6 +195,20 @@ class TestScenario:
         many = scenario_from_dict({**base, "models": ["gaussian", "clayton"]})
         assert many.models == ("gaussian", "clayton")
 
+    BASE = {
+        "portfolio": {"kind": "homogeneous", "n": 3, "pd": 0.1,
+                      "lgd": {"kind": "deterministic", "value": 0.5}},
+        "mc": {"samples": 10, "seed": 1},
+    }
+
+    def test_repeated_model_rejected(self):
+        with pytest.raises(ConfigError, match="'models' lists 'gaussian' more than once"):
+            scenario_from_dict({**self.BASE, "models": ["gaussian", "clayton", "gaussian"]})
+
+    def test_repeated_alpha_rejected(self):
+        with pytest.raises(ConfigError, match="'alphas' lists 0.99 more than once"):
+            scenario_from_dict({**self.BASE, "models": ["gaussian"], "alphas": [0.99, 0.95, 0.99]})
+
     def test_validation_messages_name_fields(self):
         with pytest.raises(ConfigError, match="'model'"):
             scenario_from_dict({"portfolio": {}, "mc": {"samples": 1, "seed": 0}})

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from creditbounds._normal import norm_cdf, norm_ppf
 from creditbounds.copulas import (
-    CHECK_TOLS,
+    CHECK_TOL,
     Clayton,
     Comonotone,
     Factor,
@@ -310,7 +310,7 @@ class TestModelRegistry:
         lo, point, hi = corrs
         b = Borrower("b", pd, 1.0, DeterministicLgd(0.1), (lo, hi), point)
         lower, upper = MODELS[model].bounds(b)
-        tol = CHECK_TOLS.absolute
+        tol = CHECK_TOL
         g_lower, g_upper = lower.g(S_GRID), upper.g(S_GRID)
         assert np.all(pd * S_GRID >= g_lower - tol)
         assert np.all(g_lower >= g_upper - tol)

@@ -17,9 +17,11 @@ from creditbounds.profiles import (
     IndependentProfile,
     TabulatedPdCurve,
     clayton_profile,
+    curve_table,
     envelope,
     gaussian_profile,
     survival_clayton_profile,
+    _checked_pd,
 )
 from creditbounds.simulate import (
     _CHUNK,
@@ -28,7 +30,6 @@ from creditbounds.simulate import (
     LossSample,
     _PdTable,
     _binomial_pmf,
-    _checked_pd,
     _chunk_bounds,
     _chunk_rng,
     _gauss_legendre,
@@ -339,6 +340,10 @@ class TestPdTable:
         profiles, borrowers = self._with_gaussian(GridProfile(knots, 0.2))
         with pytest.raises(ValueError, match="NaN"):
             simulate_losses(profiles, borrowers, 100, seed=1)
+        with pytest.raises(ValueError, match="NaN"):
+            profiles[0].conditional_pd(0.4995)
+        with pytest.raises(ValueError, match="NaN"):
+            curve_table(profiles[0])
 
 
 class TestDeferredBands:
@@ -347,7 +352,9 @@ class TestDeferredBands:
     @staticmethod
     def _mixed():
         """Deterministic and beta singletons on tables, a pooled group of
-        three, an independent singleton and comonotone members."""
+        three, an independent singleton, comonotone members, and pooled
+        independent and Gaussian groups large enough for numpy's BTPE
+        binomial on both sides of p = 0.5."""
         det, beta = DeterministicLgd(0.45), BetaLgd(0.45, 0.2)
         specs = [
             ("gaussian", 0, 0.02, det), ("clayton", 1, 0.3, det), ("gauss_clayton", 1, 0.05, det),
@@ -366,6 +373,10 @@ class TestDeferredBands:
         for i, lgd in enumerate([det, det, beta]):
             borrowers.append(Borrower(f"c{i}", 0.03, 0.02 + 0.01 * i, lgd, (0.1, 0.3), 0.2))
             profiles.append(ComonotoneProfile(0.03))
+        for n, pd in ((1000, 0.05), (200, 0.7)):
+            for profile in (IndependentProfile(pd), gaussian_profile(0.2, pd)):
+                borrowers += [Borrower(f"{n}", pd, 1e-4, det, (0.1, 0.3), 0.2)] * n
+                profiles += [profile] * n
         return profiles, borrowers
 
     @pytest.mark.filterwarnings("ignore:pointwise min of the profile family")
