@@ -32,7 +32,7 @@ import scipy
 from . import __version__
 from .portfolio import ConfigError, DeterministicLgd, Scenario, load_scenario
 from .profiles import MODELS, curve_table
-from .risk import ResultInvariantError, bound_profiles, model_run, risk_report
+from .risk import ResultInvariantError, bound_profiles, model_runs, risk_report
 from .simulate import dkw_epsilon, exact_loss_distribution, simulate_losses, sup_cdf_distance
 
 
@@ -146,14 +146,10 @@ def cmd_bounds(args) -> int:
         f"{r.model}@{r.alpha}": {"se_lower": r.se_lower, "se_upper": r.se_upper}
         for r in report.rows
     }
-    pooling = [
-        {"run": run, "groups": groups, "singleton_groups": singletons, "exact_pd_share": share}
-        for run, groups, singletons, share in report.pooling
-    ]
     _write_meta(
         out_dir, scenario, wall,
         {"standard_errors": ses, "chain_margins": report.chain_margins(),
-         "pooled_groups": pooling, "warnings": fired},
+         "pooled_groups": report.pooling, "warnings": fired},
     )
     sys.stdout.write(report.to_text())
     return 0
@@ -238,48 +234,38 @@ def cmd_oracle(args) -> int:
         scenario = _resolve_scenario(args)
         out_dir.mkdir(parents=True, exist_ok=True)
         start = time.perf_counter()
-        for k, model in enumerate(scenario.models):
-            lowers, uppers = bound_profiles(model, scenario.borrowers, scenario.point_copulas)
-            sides = [("lower", lowers)]
-            if uppers is not lowers:
-                sides.append(("upper", uppers))
-            for j, (side, profiles) in enumerate(sides):
-                t0 = time.perf_counter()
-                try:
-                    exact = exact_loss_distribution(profiles, scenario.borrowers, args.quad_nodes)
-                except ValueError as exc:
-                    raise ConfigError(f"oracle check: {exc}") from None
-                t1 = time.perf_counter()
-                mc = simulate_losses(
-                    profiles,
-                    scenario.borrowers,
-                    scenario.mc.samples,
-                    scenario.mc.seed,
-                    scenario.mc.workers,
-                    model_run(k, j),
-                )
-                t2 = time.perf_counter()
-                dist = sup_cdf_distance(mc, exact)
-                eps = dkw_epsilon(scenario.mc.samples)
-                ok = dist <= eps
-                all_pass &= ok
-                rows.append(f"{model},{side},{scenario.mc.samples},{dist!r},{eps!r},{ok}")
-                t3 = time.perf_counter()
-                if loss_col is None or not np.array_equal(loss_col, exact.losses):
-                    loss_col = exact.losses
-                    loss_strs = [repr(x) + "," for x in loss_col.tolist()]
-                _write_exact_csv(out_dir / f"exact_{model}_{side}.csv", loss_strs, exact.weights)
-                exact_rows.append({
-                    "model": model,
-                    "side": side,
-                    "support": exact.size,
-                    "weight_sum_error": abs(float(exact.weights.sum()) - 1.0),
-                    "exact_s": round(t1 - t0, 3),
-                    "mc_s": round(t2 - t1, 3),
-                    "write_s": round(time.perf_counter() - t3, 3),
-                })
-                # one exact distribution and one sample alive at a time
-                del exact, mc
+        for model, side, run, profiles in model_runs(scenario):
+            t0 = time.perf_counter()
+            try:
+                exact = exact_loss_distribution(profiles, scenario.borrowers, args.quad_nodes)
+            except ValueError as exc:
+                raise ConfigError(f"oracle check: {exc}") from None
+            t1 = time.perf_counter()
+            mc = simulate_losses(
+                profiles, scenario.borrowers, scenario.mc.samples, scenario.mc.seed, scenario.mc.workers, run
+            )
+            t2 = time.perf_counter()
+            dist = sup_cdf_distance(mc, exact)
+            eps = dkw_epsilon(scenario.mc.samples)
+            ok = dist <= eps
+            all_pass &= ok
+            rows.append(f"{model},{side},{scenario.mc.samples},{dist!r},{eps!r},{ok}")
+            t3 = time.perf_counter()
+            if loss_col is None or not np.array_equal(loss_col, exact.losses):
+                loss_col = exact.losses
+                loss_strs = [repr(x) + "," for x in loss_col.tolist()]
+            _write_exact_csv(out_dir / f"exact_{model}_{side}.csv", loss_strs, exact.weights)
+            exact_rows.append({
+                "model": model,
+                "side": side,
+                "support": exact.size,
+                "weight_sum_error": abs(float(exact.weights.sum()) - 1.0),
+                "exact_s": round(t1 - t0, 3),
+                "mc_s": round(t2 - t1, 3),
+                "write_s": round(time.perf_counter() - t3, 3),
+            })
+            # one exact distribution and one sample alive at a time
+            del exact, mc
         wall = time.perf_counter() - start
     (out_dir / "oracle_report.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     _write_meta(

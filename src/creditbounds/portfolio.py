@@ -281,8 +281,8 @@ def load_portfolio_csv(
     borrowers = []
     for i, (row, amount) in enumerate(zip(rows, amounts), start=2):
         raw_pd = _parse_float(i, "pd", row["pd"])
-        if not raw_pd > 0.0:  # NaN included
-            raise ConfigError(f"row {i}, column 'pd': pd must be positive, got {raw_pd!r}")
+        if not 0.0 < raw_pd < math.inf:  # NaN included; a finite pd of 1 or more is clamped
+            raise ConfigError(f"row {i}, column 'pd': pd must be positive and finite, got {raw_pd!r}")
         pd = _clamped_pd(raw_pd, f"row {i} ({row['name']})")
         point = irb_correlation(pd, *irb_bounds)
         corr_column = None
@@ -370,6 +370,8 @@ class Scenario:
                 raise ValueError(f"confidence levels must lie in (0, 1), got {a}")
         # each model and level names one row of the report and one entry of meta.json
         for name, values in (("models", self.models), ("alphas", self.alphas)):
+            if not values:
+                raise ValueError(f"scenario field {name!r} is empty")
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ValueError(f"scenario field {name!r} lists {repeated[0]!r} more than once")

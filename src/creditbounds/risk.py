@@ -19,7 +19,7 @@ and per batch), and a validity check of the ordering chain.  Each run is
 reduced to those numbers as soon as it ends, so a report holds one loss
 sample at a time.
 Every simulation draws from the scenario seed and its own run id
-(``model_run``), so no two runs share a stream.
+(``model_runs``, shared with the oracle), so no two runs share a stream.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ __all__ = [
     "BoundRow",
     "BenchmarkRow",
     "RiskReport",
-    "model_run",
+    "model_runs",
 ]
 
 # a batch-means standard error of AVaR is noise when a batch's tail holds
@@ -63,12 +63,6 @@ _MIN_TAIL_DRAWS = 10
 # the ordering chain and the convex-order test allow this many pooled batch
 # standard errors of slack
 _SLACK_SE = 3.0
-
-
-def model_run(k: int, side: int) -> int:
-    """Run id of the k-th model's lower (side 0) or upper (side 1) simulation;
-    runs 0 and 1 are the independent and comonotone benchmarks."""
-    return 2 + 2 * k + side
 
 
 class ResultInvariantError(RuntimeError):
@@ -190,8 +184,8 @@ def bound_profiles(model: str, borrowers, point_copulas=None):
     the pointwise min.  The hybrid family takes the envelope of the
     Gaussian and Clayton point models, which generally requires the convex
     repair of the pointwise min.  A degenerate family, whose upper profiles
-    are the lower model, returns the lower list itself as the upper one, so
-    callers test ``uppers is lowers``.
+    are the lower model, returns the lower list itself as the upper one, and
+    ``model_runs`` plans no upper runs for it.
     """
     spec = model_spec(model)
     copulas = point_copulas if spec.per_copula else [None] * len(borrowers)
@@ -207,6 +201,17 @@ def bound_profiles(model: str, borrowers, point_copulas=None):
     if all(lo.group_key() == up.group_key() for lo, up in zip(lowers, uppers)):
         return lowers, lowers
     return lowers, uppers
+
+
+def model_runs(scenario: Scenario):
+    """(model, side, run id, profiles) per bound simulation, in run order:
+    side j of the k-th model is run 2 + 2k + j (runs 0 and 1 are the
+    benchmarks), and a degenerate family has no upper side."""
+    for k, model in enumerate(scenario.models):
+        lowers, uppers = bound_profiles(model, scenario.borrowers, scenario.point_copulas)
+        yield model, "lower", 2 + 2 * k, lowers
+        if uppers is not lowers:
+            yield model, "upper", 3 + 2 * k, uppers
 
 
 @dataclass(frozen=True)
@@ -243,8 +248,8 @@ class RiskReport:
     benchmarks: tuple  # BenchmarkRow, ordered by alpha
     samples: int
     seed: int
-    # (run, pooled groups, singleton groups, share of the table-drawn singleton
-    # draws whose pd was evaluated, or None) per simulation run, in run order
+    # one {"run", "groups", "singleton_groups", "exact_pd_share"} dict per
+    # simulation run, in run order, as meta.json's "pooled_groups" lists them
     pooling: tuple = ()
 
     def row(self, model: str, alpha: float) -> BoundRow:
@@ -360,10 +365,6 @@ def _check_chain(report: RiskReport) -> None:
             )
 
 
-def _pooling(run: str, sample: LossSample) -> tuple:
-    return run, len(sample.group_sizes), sample.group_sizes.count(1), sample.exact_pd_share
-
-
 def risk_report(scenario: Scenario) -> RiskReport:
     """Simulate a scenario and assemble its AVaR bound report.
 
@@ -377,26 +378,29 @@ def risk_report(scenario: Scenario) -> RiskReport:
     pooling = []
 
     def summary(run: str, sample: LossSample) -> tuple[list, list]:
-        pooling.append(_pooling(run, sample))
+        sizes = sample.group_sizes
+        pooling.append({"run": run, "groups": len(sizes), "singleton_groups": sizes.count(1),
+                        "exact_pd_share": sample.exact_pd_share})
         return _avar_with_se(sample, alphas)
 
     ai, si = summary("independent", simulate_independent(borrowers, mc.samples, mc.seed, mc.workers, run=0))
     ac, sc = summary("comonotone", simulate_comonotone(borrowers, mc.samples, mc.seed, mc.workers, run=1))
     benchmarks = [BenchmarkRow(*row) for row in zip(alphas, ai, ac, si, sc)]
 
-    rows = []
-    for k, model in enumerate(scenario.models):
-        lowers, uppers = bound_profiles(model, borrowers, scenario.point_copulas)
-        lo = up = summary(
-            f"{model} lower",
-            simulate_losses(lowers, borrowers, mc.samples, mc.seed, mc.workers, model_run(k, 0)),
+    # (AVaR, SE) per model and side; binding the sample to a name would keep
+    # it alive while the next run draws
+    results = {
+        (model, side): summary(
+            f"{model} {side}",
+            simulate_losses(profiles, borrowers, mc.samples, mc.seed, mc.workers, run),
         )
-        if uppers is not lowers:
-            up = summary(
-                f"{model} upper",
-                simulate_losses(uppers, borrowers, mc.samples, mc.seed, mc.workers, model_run(k, 1)),
-            )
-        (alo, slo), (aup, sup) = lo, up
+        for model, side, run, profiles in model_runs(scenario)
+    }
+    rows = []
+    for model in scenario.models:
+        # a degenerate family's upper side is its lower one
+        lo = results[model, "lower"]
+        (alo, slo), (aup, sup) = lo, results.get((model, "upper"), lo)
         rows.extend(BoundRow(model, *row) for row in zip(alphas, alo, aup, slo, sup))
 
     report = RiskReport(

@@ -16,7 +16,7 @@ from creditbounds import cli, risk
 from creditbounds.cli import _config_hash, main
 from creditbounds.portfolio import load_scenario, scenario_from_dict
 from creditbounds.profiles import MODELS
-from creditbounds.risk import bound_profiles
+from creditbounds.risk import model_runs
 from creditbounds.simulate import exact_loss_distribution
 
 
@@ -150,7 +150,7 @@ class TestBounds:
     def test_oracle_and_bounds_draw_the_same_sample(self, fixtures_dir, tmp_path, capsys, monkeypatch):
         doc = json.loads((fixtures_dir / "oracle_example.json").read_text())
         doc["portfolio"]["corr_interval"] = [0.15, 0.25]
-        doc["models"] = ["gaussian", "clayton"]
+        doc["models"] = ["independent", "gaussian", "clayton"]
         doc["mc"] = {"samples": 20_000, "seed": 3, "workers": 1}
         sc = tmp_path / "sc.json"
         sc.write_text(json.dumps(doc))
@@ -173,8 +173,9 @@ class TestBounds:
         assert run(
             capsys, "bounds", "--scenario", str(sc), "--out", str(tmp_path / "b"), "--workers", "2"
         )[0] == 0
-        # gaussian and clayton, lower and upper, under the same run ids
-        assert sorted(drawn["oracle"]) == sorted(drawn["bounds"]) == [2, 3, 4, 5]
+        # the degenerate independent family has no upper run; gaussian and
+        # clayton, lower and upper, follow under the same run ids
+        assert sorted(drawn["oracle"]) == sorted(drawn["bounds"]) == [2, 4, 5, 6, 7]
         for run_id, (key, seed, samples, losses) in drawn["oracle"].items():
             b_key, b_seed, b_samples, b_losses = drawn["bounds"][run_id]
             assert (key, seed, samples) == (b_key, b_seed, b_samples)
@@ -332,11 +333,8 @@ class TestOracle:
     def _exact_distributions(scenario_path):
         """(file name, exact distribution) in the order the oracle writes them."""
         scenario = load_scenario(scenario_path)
-        for model in scenario.models:
-            lowers, uppers = bound_profiles(model, scenario.borrowers, scenario.point_copulas)
-            sides = [("lower", lowers)] + ([("upper", uppers)] if uppers is not lowers else [])
-            for side, profiles in sides:
-                yield f"exact_{model}_{side}.csv", exact_loss_distribution(profiles, scenario.borrowers)
+        for model, side, _, profiles in model_runs(scenario):
+            yield f"exact_{model}_{side}.csv", exact_loss_distribution(profiles, scenario.borrowers)
 
     def _assert_exact_csv_bytes(self, scenario_path, out):
         written = sorted(p.name for p in out.glob("exact_*.csv"))

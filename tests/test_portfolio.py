@@ -152,9 +152,10 @@ class TestCsvLoading:
                          f"B,{amount},0.05,deterministic,0.4\n")
             with pytest.raises(ConfigError, match=f"row 3, column 'amount': .* {amount}"):
                 load_portfolio_csv(p)
-        p.write_text("name,amount,pd,lgd_kind,lgd_mean\nA,10,nan,deterministic,0.4\n")
-        with pytest.raises(ConfigError, match="row 2, column 'pd': .* nan"):
-            load_portfolio_csv(p)
+        for pd in ("nan", "inf"):
+            p.write_text(f"name,amount,pd,lgd_kind,lgd_mean\nA,10,{pd},deterministic,0.4\n")
+            with pytest.raises(ConfigError, match=f"row 2, column 'pd': .* {pd}"):
+                load_portfolio_csv(p)
         header = "name,amount,pd,lgd_kind,lgd_mean,lgd_vol,corr_lo,corr_hi\n"
         for row, column in [
             ("A,10,0.05,deterministic,nan,,,", "lgd_mean"),
@@ -208,6 +209,14 @@ class TestScenario:
     def test_repeated_alpha_rejected(self):
         with pytest.raises(ConfigError, match="'alphas' lists 0.99 more than once"):
             scenario_from_dict({**self.BASE, "models": ["gaussian"], "alphas": [0.99, 0.95, 0.99]})
+
+    def test_empty_models_rejected(self):
+        with pytest.raises(ConfigError, match="'models' is empty"):
+            scenario_from_dict({**self.BASE, "models": []})
+
+    def test_empty_alphas_rejected(self):
+        with pytest.raises(ConfigError, match="'alphas' is empty"):
+            scenario_from_dict({**self.BASE, "models": ["gaussian"], "alphas": []})
 
     def test_validation_messages_name_fields(self):
         with pytest.raises(ConfigError, match="'model'"):

@@ -19,7 +19,9 @@ from creditbounds.risk import (
     RiskReport,
     _check_chain,
     avar,
+    bound_profiles,
     check_cx_dominance,
+    model_runs,
     risk_report,
     stop_loss_curve,
     var,
@@ -217,6 +219,23 @@ def _tiny_scenario(models=("gaussian",), samples=40_000):
             "mc": {"samples": samples, "seed": 99, "workers": 2},
         }
     )
+
+
+def test_model_runs_skip_the_upper_side_of_a_degenerate_family():
+    scenario = _tiny_scenario(("independent", "gaussian", "comonotone", "clayton"))
+    runs = list(model_runs(scenario))
+    assert [(model, side, run) for model, side, run, _ in runs] == [
+        ("independent", "lower", 2),
+        ("gaussian", "lower", 4),
+        ("gaussian", "upper", 5),
+        ("comonotone", "lower", 6),
+        ("clayton", "lower", 8),
+        ("clayton", "upper", 9),
+    ]
+    for model, side, _, profiles in runs:
+        lowers, uppers = bound_profiles(model, scenario.borrowers)
+        expected = lowers if side == "lower" else uppers
+        assert [p.group_key() for p in profiles] == [p.group_key() for p in expected]
 
 
 class TestRiskReport:
