@@ -27,7 +27,6 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .portfolio import ConfigError, DeterministicLgd, Scenario, load_scenario
@@ -105,7 +104,6 @@ def _write_meta(out_dir: Path, scenario: Scenario, wall_time: float, extra: dict
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "cpu_count": os.cpu_count(),
         },
     }
@@ -161,18 +159,13 @@ def cmd_curves(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for model in scenario.models:
         spec = MODELS[model]
-        copulas = scenario.point_copulas if spec.per_copula else [None] * len(scenario.borrowers)
+        firsts, _ = spec.shared(scenario.borrowers, scenario.point_copulas)
         lowers, uppers = bound_profiles(model, scenario.borrowers, scenario.point_copulas)
         lines = ["borrower,s,g_lower,g_point,g_upper,pd_lower,pd_point,pd_upper"]
-        seen = set()
-        for b, c, lo, up in zip(scenario.borrowers, copulas, lowers, uppers):
-            key = spec.key(b, c)
-            if key in seen:
-                continue
-            seen.add(key)
-            s, g_lo, p_lo = curve_table(lo)
+        for i, (b, c) in firsts.items():
+            s, g_lo, p_lo = curve_table(lowers[i])
             _, g_pt, p_pt = curve_table(spec.point(b, c))
-            _, g_up, p_up = curve_table(up)
+            _, g_up, p_up = curve_table(uppers[i])
             for row in zip(s, g_lo, g_pt, g_up, p_lo, p_pt, p_up):
                 lines.append(b.name + "," + ",".join(repr(float(v)) for v in row))
         (out_dir / f"curves_{model}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -549,6 +549,19 @@ class ModelSpec:
             return (borrower.pd, repr(copula))
         return (borrower.pd, borrower.corr_interval, borrower.corr_point)
 
+    def shared(self, borrowers, point_copulas=None) -> tuple[dict, list]:
+        """Which borrowers share profiles: ({i: (borrower, copula)} for the
+        first borrower i of each key, in borrower order, and per borrower the
+        i of its key).  Only ``per_copula`` families read ``point_copulas``."""
+        copulas = point_copulas if self.per_copula else [None] * len(borrowers)
+        firsts, first_of_key, owners = {}, {}, []
+        for i, (b, c) in enumerate(zip(borrowers, copulas)):
+            owner = first_of_key.setdefault(self.key(b, c), i)
+            if owner == i:
+                firsts[i] = (b, c)
+            owners.append(owner)
+        return firsts, owners
+
 
 def _gauss_clayton_bounds(b, copula):
     env = envelope([gaussian_profile(b.corr_point, b.pd), clayton_profile(b.theta_point, b.pd)])

@@ -80,7 +80,7 @@ def _sorted_with_cum(sample: LossSample):
     return s.losses, cum, total
 
 
-def avar(sample: LossSample, confidence):
+def avar(sample: LossSample, confidence, *, in_place: bool = False):
     """Average Value-at-Risk: mean of the worst (1 - confidence) tail.
 
     Exact plug-in of the quantile-function integral over the empirical (or
@@ -88,6 +88,8 @@ def avar(sample: LossSample, confidence):
     ``confidence`` is one level, giving a float, or a sequence of levels,
     giving an array in the same order.  All levels read one sorted tail:
     each sums the same draws in the same order as a call at that level alone.
+    An equally weighted sample's draws are partitioned in a copy, or with
+    ``in_place`` in the sample itself, which only reorders them.
     """
     levels = np.asarray(confidence, dtype=float)
     if not np.all((levels > 0.0) & (levels < 1.0)):
@@ -101,7 +103,9 @@ def avar(sample: LossSample, confidence):
         # keeps a float tie at the boundary weighted as in a full sort
         firsts = [max(math.floor(a * n) - 1, 0) for a in alphas]
         start = min(firsts)
-        x = LossSample(np.partition(sample.losses, start)[start:]).sorted().losses
+        losses = sample.losses if in_place else sample.losses.copy()
+        losses.partition(start)
+        x = LossSample(losses[start:]).sorted().losses
         cum, prev, total = np.arange(start + 1, n + 1) / n, np.arange(start, n) / n, 1.0
     else:
         x, cum, total = _sorted_with_cum(sample)
@@ -188,16 +192,10 @@ def bound_profiles(model: str, borrowers, point_copulas=None):
     ``model_runs`` plans no upper runs for it.
     """
     spec = model_spec(model)
-    copulas = point_copulas if spec.per_copula else [None] * len(borrowers)
-    cache: dict = {}
-    lowers, uppers = [], []
-    for b, c in zip(borrowers, copulas):
-        key = spec.key(b, c)
-        if key not in cache:
-            cache[key] = spec.bounds(b, c)
-        lo, up = cache[key]
-        lowers.append(lo)
-        uppers.append(up)
+    firsts, owners = spec.shared(borrowers, point_copulas)
+    bounds = {i: spec.bounds(b, c) for i, (b, c) in firsts.items()}
+    lowers = [bounds[i][0] for i in owners]
+    uppers = [bounds[i][1] for i in owners]
     if all(lo.group_key() == up.group_key() for lo, up in zip(lowers, uppers)):
         return lowers, lowers
     return lowers, uppers
@@ -330,9 +328,12 @@ class RiskReport:
 
 
 def _avar_with_se(sample: LossSample, alphas) -> tuple[list, list]:
-    """AVaR per level and its batch standard errors, from one sorted tail per sample and batch."""
-    values = avar(sample, alphas)
-    se = batch_standard_error(sample, lambda s: avar(s, alphas))
+    """AVaR per level and its batch standard errors, from one sorted tail per
+    sample and batch, reordering the draws of the sample, which is the
+    caller's to give up: each batch is partitioned in place first, moving
+    draws only inside it, and then the whole sample, so no copy of it is made."""
+    se = batch_standard_error(sample, lambda s: avar(s, alphas, in_place=True))
+    values = avar(sample, alphas, in_place=True)
     return values.tolist(), np.broadcast_to(se, values.shape).tolist()
 
 

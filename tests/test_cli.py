@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import creditbounds
 from creditbounds import cli, risk
@@ -49,7 +48,6 @@ class TestBounds:
         assert meta["environment"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "cpu_count": os.cpu_count(),
         }
         assert "Gaussian" in stdout
@@ -162,7 +160,8 @@ class TestBounds:
             def simulate(profiles, portfolio, samples, seed, workers=1, run=0):
                 sample = real(profiles, portfolio, samples, seed, workers, run)
                 key = tuple(p.group_key() for p in profiles)
-                drawn.setdefault(command, {})[run] = (key, seed, samples, sample.losses)
+                # a copy: the report reorders the draws of a sample it summarises
+                drawn.setdefault(command, {})[run] = (key, seed, samples, sample.losses.copy())
                 return sample
 
             monkeypatch.setattr(module, "simulate_losses", simulate)
@@ -417,10 +416,11 @@ class TestOracle:
         assert code == 1
         assert "support" in err and str(2**21) in err
 
-    def test_oracle_and_bounds_leave_scipy_stats_unloaded(self, fixtures_dir, tmp_path):
-        # a fresh process: the exact path's binomial pmf is the package's own,
-        # for pooled groups (the 8-borrower example pools into one group) and
-        # for singletons alike
+    def test_commands_leave_scipy_unloaded(self, fixtures_dir, tmp_path):
+        # a fresh process: the normal CDF and quantile, the exact path's
+        # binomial pmf and its quadrature rule are the package's own, for
+        # pooled groups (the 8-borrower example pools into one group) and for
+        # singletons alike
         rows = ["name,amount,pd,lgd_kind,lgd_mean,lgd_vol,corr_lo,corr_hi"]
         rows += [f"b{i},{2**i},0.1,deterministic,1.0,,0.15,0.25" for i in range(3)]
         (tmp_path / "p.csv").write_text("\n".join(rows) + "\n")
@@ -439,7 +439,10 @@ class TestOracle:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    status.append(cli.main(['bounds', '--scenario', sys.argv[1],\n"
             "                            '--out', f'{sys.argv[3]}/b', '--samples', '2000']))\n"
-            "print(*status, 'scipy.stats' in sys.modules)\n"
+            "    status.append(cli.main(['curves', '--scenario', sys.argv[1],\n"
+            "                            '--out', f'{sys.argv[3]}/c']))\n"
+            "    status.append(cli.main(['validate', '--scenario', sys.argv[1]]))\n"
+            "print(*status, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
         )
         src = str(Path(creditbounds.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -449,7 +452,7 @@ class TestOracle:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
             timeout=60,
         )
-        assert out.stdout.split() == ["0", "0", "0", "False"]
+        assert out.stdout.split() == ["0", "0", "0", "0", "0", "False"]
         # three singletons with amounts 1, 2 and 4: 2^3 distinct losses
         exact = json.loads((tmp_path / "o" / "1" / "meta.json").read_text())["exact"]
         assert [row["support"] for row in exact] == [8, 8]

@@ -117,6 +117,41 @@ class TestAvar:
         assert values.tolist() == [0.2999999999999989, 0.15999999999999984, 0.21999999999999956]
 
 
+class TestAvarWithSe:
+    """The report's AVaR of a sample it owns: in place, with no copy of it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(0, 6), min_size=20, max_size=600),
+        st.lists(st.sampled_from([0.5, 0.9, 0.95, 0.99, 0.999]), min_size=1, max_size=4),
+    )
+    def test_equals_avar_and_batch_standard_error_bit_for_bit(self, counts, levels):
+        # lattice losses are full of ties, as a pooled portfolio's are
+        losses = np.array(counts) / 7.0
+        reference = LossSample(losses.copy())
+        values = avar(reference, levels)
+        se = np.broadcast_to(batch_standard_error(reference, lambda s: avar(s, levels)), values.shape)
+        owned = LossSample(losses.copy())
+        got = risk._avar_with_se(owned, levels)
+        assert np.array_equal(got[0], values) and np.array_equal(got[1], se, equal_nan=True)
+        # the draws are only reordered, and the public avar left its sample alone
+        assert np.array_equal(np.sort(owned.losses), np.sort(losses))
+        assert np.array_equal(reference.losses, losses)
+
+    def test_allocates_well_under_one_sample(self):
+        n = 1_000_000
+        sample = LossSample(np.random.default_rng(3).integers(0, 1000, n) / 1000.0)
+        risk._avar_with_se(LossSample(sample.losses[:20_000].copy()), (0.95, 0.99))
+        tracemalloc.start()
+        try:
+            risk._avar_with_se(sample, (0.95, 0.99))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 5% tail, sorted, and its cumulative weights
+        assert peak < 0.4 * n * 8
+
+
 class TestVar:
     def test_uniform_grid(self):
         s = LossSample(np.arange(1, 101) / 100.0)
@@ -254,7 +289,9 @@ class TestRiskReport:
         # once whole and once per standard-error batch, at both levels at once
         calls = []
         original = risk.avar
-        monkeypatch.setattr(risk, "avar", lambda *args: calls.append(args) or original(*args))
+        monkeypatch.setattr(
+            risk, "avar", lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs)
+        )
         risk_report(_tiny_scenario(("gaussian", "independent")))
         assert len(calls) == 5 * 21
 
@@ -318,6 +355,6 @@ class TestRiskReport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one run's sample and the copy its AVaR partitions, plus pd tables
+        # one run's sample, which its AVaR partitions in place, plus pd tables
         # and chunk buffers; samples that outlive their runs need several more
         assert peak < 3.5 * samples * 8

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -59,8 +60,7 @@ def _node_by_node(profiles, borrowers, quad_nodes):
     if all(isinstance(g.profile, IndependentProfile) for g in groups):
         t, wq = np.array([0.5]), np.array([1.0])
     else:
-        x, w = np.polynomial.legendre.leggauss(quad_nodes)
-        t, wq = 0.5 * (x + 1.0), 0.5 * w
+        t, wq = _gauss_legendre(quad_nodes)
     f = Factor(t)
     support, probs = np.array([0.0]), np.ones((t.size, 1))
     for grp in groups:
@@ -699,8 +699,7 @@ class TestExactDistribution:
         assert np.allclose(ex.losses, np.arange(211) / 210, rtol=0.0, atol=1e-12)
 
         # reference: convolve borrower by borrower on the loss lattice k at each node
-        x, w = np.polynomial.legendre.leggauss(256)
-        t, wq = 0.5 * (x + 1.0), 0.5 * w
+        t, wq = _gauss_legendre(256)
         reference = np.zeros(211)
         for p, wt in zip(profile.conditional_pd(t), wq):
             pmf = np.ones(1)
@@ -713,14 +712,14 @@ class TestExactDistribution:
 
     def test_quadrature_nodes_are_computed_once_and_read_only(self, monkeypatch):
         calls = []
-        leggauss = np.polynomial.legendre.leggauss
+        rule = simulate._legendre_rule
 
         def counting(n):
             calls.append(n)
-            return leggauss(n)
+            return rule(n)
 
         _gauss_legendre.cache_clear()
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        monkeypatch.setattr(simulate, "_legendre_rule", counting)
         port = homogeneous_portfolio(8, 0.1, DeterministicLgd(1.0))
         for corr in (0.2, 0.3):
             exact_loss_distribution([gaussian_profile(corr, 0.1)] * 8, port)
@@ -729,6 +728,46 @@ class TestExactDistribution:
         assert not t.flags.writeable and not wq.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             t[0] = 0.5
+
+
+class TestGaussLegendre:
+    """The exact path's own quadrature rule: Newton's method, no eigenproblem."""
+
+    @pytest.mark.parametrize("n", [16, 17, 256])
+    def test_matches_leggauss(self, n):
+        t, wq = _gauss_legendre(n)
+        x, w = np.polynomial.legendre.leggauss(n)
+        assert np.abs(t - 0.5 * (x + 1.0)).max() <= 1e-14
+        assert np.abs(wq - 0.5 * w).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [16, 17, 256, 4096])
+    def test_symmetric_ascending_and_normalised(self, n):
+        x, w = simulate._legendre_rule(n)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+        assert abs(_gauss_legendre(n)[1].sum() - 1.0) <= 1e-14
+
+    def test_4096_nodes_against_mpmath(self):
+        # leggauss(4096) solves a 4096 x 4096 eigenproblem, and its end
+        # weights are off by 2e-13; refine three nodes at 30 digits instead
+        n = 4096
+        x, w = simulate._legendre_rule(n)
+        mpmath.mp.dps = 30
+
+        def recurrence(v):
+            p_prev, p = mpmath.mpf(1), v
+            for j in range(2, n + 1):
+                p_prev, p = p, ((2 * j - 1) * v * p - (j - 1) * p_prev) / j
+            return p, p_prev
+
+        for i in (0, 1, n // 2 - 1):
+            v = mpmath.mpf(x[i])
+            for _ in range(3):
+                p, p_prev = recurrence(v)
+                v -= p * (1 - v * v) / (n * (p_prev - v * p))
+            weight = 2 * (1 - v * v) / (n * recurrence(v)[1]) ** 2
+            assert abs(float(v) - x[i]) <= 1e-14
+            assert abs(float(weight) - w[i]) <= 1e-14
 
 
 class TestBinomialPmf:
