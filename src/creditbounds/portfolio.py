@@ -11,8 +11,9 @@ Portfolio CSV schema (UTF-8, header required)::
 
     name,amount,pd,lgd_kind,lgd_mean,lgd_vol,corr_lo,corr_hi
 
-``corr_lo``/``corr_hi`` are optional; when absent the interval defaults to
-the regulatory interpolation value plus/minus ``corr_shift``.
+``corr_lo``/``corr_hi`` are optional, but only together; when both are
+absent the interval defaults to the regulatory interpolation value
+plus/minus ``corr_shift``.
 ``lgd_kind`` is ``deterministic`` (uses ``lgd_mean``) or ``beta`` (uses
 ``lgd_mean`` and ``lgd_vol``).
 """
@@ -246,9 +247,10 @@ def load_portfolio_csv(
 ) -> list[Borrower]:
     """Read borrowers from CSV and normalize amounts to exposure weights.
 
-    Correlation intervals are read from ``corr_lo``/``corr_hi`` when given
-    and otherwise default to the regulatory interpolation with the supplied
-    bounds shifted by plus/minus ``corr_shift``.
+    Correlation intervals are read from ``corr_lo``/``corr_hi`` when both
+    are given and otherwise default to the regulatory interpolation with the
+    supplied bounds shifted by plus/minus ``corr_shift``; a row that gives
+    only one of them is a ConfigError.
     """
     path = Path(path)
     if not path.exists():
@@ -286,7 +288,13 @@ def load_portfolio_csv(
         pd = _clamped_pd(raw_pd, f"row {i} ({row['name']})")
         point = irb_correlation(pd, *irb_bounds)
         corr_column = None
-        if row.get("corr_lo", "").strip() and row.get("corr_hi", "").strip():
+        given = [c for c in ("corr_lo", "corr_hi") if (row.get(c) or "").strip()]
+        if len(given) == 1:
+            empty = "corr_hi" if given == ["corr_lo"] else "corr_lo"
+            raise ConfigError(
+                f"row {i}, column {empty!r}: empty while {given[0]!r} is given; give both or neither"
+            )
+        if given:
             corr = (
                 _parse_float(i, "corr_lo", row["corr_lo"]),
                 _parse_float(i, "corr_hi", row["corr_hi"]),
@@ -399,10 +407,28 @@ def _numbers(value, where: str, length: int | None = None) -> tuple:
     return tuple(_number(v, where) for v in value)
 
 
+# the fields a portfolio or lgd JSON object may hold, by kind (a JSON list
+# or object as the kind is no key, and fails as an unknown kind)
+_PORTFOLIO_FIELDS = {
+    "homogeneous": ("kind", "n", "pd", "lgd", "corr_interval", "irb_bounds"),
+    "csv": ("kind", "path", "lgd", "irb_bounds", "corr_shift"),
+}
+_LGD_FIELDS = {"deterministic": ("kind", "value"), "beta": ("kind", "mean", "vol")}
+
+
+def _known_fields(obj: dict, known: tuple, where: str) -> None:
+    """A ConfigError naming the first field of ``obj`` outside ``known``."""
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"{where}: unknown field {key!r}; expected one of {known}")
+
+
 def _lgd_from_dict(obj: dict, where: str):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{where}: lgd must be an object with a 'kind' field")
     kind = obj["kind"]
+    if isinstance(kind, str) and kind in _LGD_FIELDS:
+        _known_fields(obj, _LGD_FIELDS[kind], where)
     try:
         if kind == "deterministic":
             return DeterministicLgd(_number(obj["value"], "value"))
@@ -421,6 +447,8 @@ def _copula_from_dict(obj: dict, where: str):
     if not isinstance(obj, dict) or "family" not in obj:
         raise ConfigError(f"{where}: copula must be an object with a 'family' field")
     family = obj["family"]
+    known = ("family",) if family in ("independence", "comonotone") else ("family", "param")
+    _known_fields(obj, known, where)
     try:
         if family == "independence":
             return cop.Independence()
@@ -443,6 +471,8 @@ def _portfolio_from_dict(obj: dict, base_dir: Path) -> list[Borrower]:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("scenario field 'portfolio': must be an object with a 'kind' field")
     kind = obj["kind"]
+    if isinstance(kind, str) and kind in _PORTFOLIO_FIELDS:
+        _known_fields(obj, _PORTFOLIO_FIELDS[kind], f"portfolio ({kind})")
     lgd = _lgd_from_dict(obj["lgd"], "portfolio.lgd") if "lgd" in obj else None
     irb_bounds = DEFAULT_IRB_BOUNDS
     if "irb_bounds" in obj:
@@ -482,10 +512,13 @@ def scenario_from_dict(doc: dict, base_dir=".") -> Scenario:
     """Build a scenario from a parsed JSON document.
 
     ``model`` may be a single name or a list of names; relative portfolio
-    paths resolve against ``base_dir``.
+    paths resolve against ``base_dir``.  A field that the scenario, its
+    ``mc``, ``portfolio``, ``lgd`` or copula objects do not know is a
+    ConfigError.
     """
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a JSON object")
+    _known_fields(doc, ("label", "portfolio", "model", "models", "alphas", "mc", "point_copulas"), "scenario")
     for req in ("portfolio", "mc"):
         if req not in doc:
             raise ConfigError(f"scenario is missing field {req!r}")
@@ -503,6 +536,7 @@ def scenario_from_dict(doc: dict, base_dir=".") -> Scenario:
     for req in ("samples", "seed"):
         if not isinstance(mc_doc, dict) or req not in mc_doc:
             raise ConfigError(f"scenario field 'mc': missing field {req!r}")
+    _known_fields(mc_doc, ("samples", "seed", "workers"), "scenario field 'mc'")
     samples = _number(mc_doc["samples"], "scenario field 'mc.samples'", int)
     seed = _number(mc_doc["seed"], "scenario field 'mc.seed'", int)
     workers = _number(mc_doc.get("workers", 1), "scenario field 'mc.workers'", int)

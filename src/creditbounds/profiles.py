@@ -20,7 +20,7 @@ import math
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -79,6 +79,23 @@ def _downward_steps(steps: np.ndarray) -> np.ndarray:
     return (np.flatnonzero(np.diff(steps) < 0.0) + 1) / steps.size
 
 
+# uniform factor cells of a profile's cell bounds, and the absolute slack by
+# which an evaluated pd may fall short of (or exceed) a cell's edge values
+_PD_CELLS = 1 << 12
+_PD_SLACK = 1e-12
+
+
+@cache
+def _table_edges() -> Factor:
+    """Read-only factor at the edges of the ``_PD_CELLS`` cells, shared by
+    every profile, with the transforms of the copula conditionals computed once."""
+    f = Factor(np.linspace(0.0, 1.0, _PD_CELLS + 1))
+    c = f.clipped
+    for a in (f.t, c.t, c.ppf, c.log, c.flip.t, c.flip.log):
+        a.setflags(write=False)
+    return f
+
+
 class DefaultProfile(ABC):
     """Interface shared by all default integral functions."""
 
@@ -111,6 +128,20 @@ class DefaultProfile(ABC):
     def _breakpoints(self) -> np.ndarray:
         """Factor levels where the conditional pd may decrease."""
         return np.empty(0)
+
+    def _cell_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) per uniform factor cell: the clipped pd p is nondecreasing
+        in the factor t, so on the cell [e_c, e_(c+1)) it lies within
+        [lo_c, hi_c] = [p(e_c), p(e_(c+1))] widened by ``_PD_SLACK``.  A cell
+        where p may decrease (its edge values decrease, or it or a neighbour
+        holds a breakpoint) gets [0, inf), which bounds nothing."""
+        p = self._pd_at(_table_edges())
+        lo, hi = p[:-1] - _PD_SLACK, p[1:] + _PD_SLACK
+        monotone = np.diff(p) >= 0.0
+        near = np.floor(self._breakpoints() * _PD_CELLS).astype(int)
+        monotone[np.clip(np.concatenate([near - 1, near, near + 1]), 0, _PD_CELLS - 1)] = False
+        lo[~monotone], hi[~monotone] = 0.0, np.inf
+        return lo, hi
 
     def conditional_pd(self, t):
         """Conditional default probability at factor level t in (0, 1)."""
@@ -375,6 +406,7 @@ class TabulatedPdCurve:
         return _downward_steps(self.values)
 
     _pd_at = DefaultProfile._pd_at
+    _cell_bounds = DefaultProfile._cell_bounds
     conditional_pd = DefaultProfile.conditional_pd
 
     def group_key(self):

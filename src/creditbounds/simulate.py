@@ -13,24 +13,22 @@ weight are pooled: conditionally on the factor their default count is
 binomial, which is what makes million-sample runs over thousand-loan
 portfolios cheap without changing the loss distribution.  A group of one
 borrower (every IDB borrower, say) defaults when its uniform u falls below
-its conditional default probability p(t).  Defaults are stochastically
-increasing in the factor, so p(t) is nondecreasing in t: a table of p at the
-edges of 4,096 uniform factor cells, widened by an absolute slack of 1e-12
-for rounding, bounds p on each cell and decides u < p for all but the draws
-whose uniform falls between those bounds.  Only those draws, the band, and
-every draw in a cell where p may decrease (a table that decreases, or a
-breakpoint the profile reports) evaluate p itself (``_PdTable``).
+its conditional default probability p(t).  The profile bounds p on each of
+4,096 uniform factor cells (``DefaultProfile._cell_bounds``), built once per
+profile per run, and those bounds decide u < p for all but the draws whose
+uniform falls between them (``_decide``).  Only those draws, the band, and
+every draw in a cell where p may decrease evaluate p itself.
 A singleton with deterministic LGD settles its band once per run: each
 chunk records the band draws' positions, factor values and uniforms, and
-after the last chunk every table evaluates p once over all of its band
-draws and the scenarios they touch are summed again in group order, so
+after the last chunk every such singleton evaluates p once over all of its
+band draws and the scenarios they touch are summed again in group order, so
 each loss keeps the bits of the draw-by-draw loop (``_settle_bands``).  A
 beta-LGD singleton settles its band inside the chunk, because how many LGD
 values it draws depends on its defaults.  Every evaluated conditional
 default probability comes from the profile's one clipped and checked call
 (``_pd_at``), so a NaN raises ValueError on every path.  It reads one
 shared ``Factor`` per chunk (per quadrature batch on the exact path, and
-one per process for the table edges), so each factor transform runs at
+one per process for the cell edges), so each factor transform runs at
 most once.
 
 The exact path integrates the product of the groups' conditional binomial
@@ -51,9 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._normal import _legendre_rule
 from .copulas import Factor
 from .portfolio import DeterministicLgd
-from .profiles import ComonotoneProfile, IndependentProfile, _cell
+from .profiles import _PD_CELLS, ComonotoneProfile, IndependentProfile, _cell
 
 __all__ = [
     "LossSample",
@@ -87,8 +86,8 @@ class LossSample:
     weights: np.ndarray | None = None
     is_sorted: bool = False
     group_sizes: tuple = ()
-    # share of the table-drawn singleton draws whose pd was evaluated
-    # (see _PdTable); None when no group drew from a table
+    # share of the draws of singletons decided by their cell bounds whose pd
+    # was evaluated (see _decide); None when no group drew from cell bounds
     exact_pd_share: float | None = None
 
     def __post_init__(self):
@@ -186,61 +185,14 @@ def _lgd_total(rng, lgd, counts: np.ndarray) -> np.ndarray:
     return total
 
 
-# uniform factor cells of a singleton's pd table, and the absolute slack by
-# which an evaluated pd may fall short of (or exceed) the table's edge values
-_PD_CELLS = 1 << 12
-_PD_SLACK = 1e-12
-
-
-class _PdTable:
-    """Bernoulli draws ``u < p`` of one borrower at its clipped pd p that
-    evaluate p only near the threshold.
-
-    The pd p(t) of a profile is nondecreasing in the factor t, so on the
-    cell [e_c, e_(c+1)) it lies within [lo_c, hi_c] = [p(e_c), p(e_(c+1))]
-    widened by ``_PD_SLACK``: u < lo_c defaults and u >= hi_c does not.  Only
-    the draws in between evaluate p.  A cell that may not be monotone (the
-    table decreases, or the cell or a neighbour holds a breakpoint) has the
-    band [0, inf), so every draw in it evaluates p.
-    """
-
-    def __init__(self, profile):
-        self.profile = profile
-        p = self.pd(_table_edges())
-        self.lo, self.hi = p[:-1] - _PD_SLACK, p[1:] + _PD_SLACK
-        monotone = np.diff(p) >= 0.0
-        near = np.floor(profile._breakpoints() * _PD_CELLS).astype(int)
-        monotone[np.clip(np.concatenate([near - 1, near, near + 1]), 0, _PD_CELLS - 1)] = False
-        self.lo[~monotone], self.hi[~monotone] = 0.0, np.inf
-
-    def pd(self, f: Factor) -> np.ndarray:
-        return self.profile._pd_at(f)
-
-    def decide(self, rng, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Uniforms u of draws in the table cells ``cell``, the defaults the
-        table decides (u < lo), and the band: the draws it leaves to p."""
-        u = rng.random(cell.size)
-        hit = u < self.lo[cell]
-        return u, hit, np.flatnonzero((u < self.hi[cell]) ^ hit)
-
-    def draw(self, rng, f: Factor, cell: np.ndarray) -> tuple[np.ndarray, int]:
-        """Defaults at the factor f, whose table cells are ``cell``, and the
-        number of draws whose pd was evaluated."""
-        u, hit, band = self.decide(rng, cell)
-        if band.size:
-            hit[band] = u[band] < self.pd(f[band])
-        return hit, band.size
-
-
-@functools.cache
-def _table_edges() -> Factor:
-    """Read-only factor at the pd-table cell edges, shared by every table,
-    with the transforms of the copula conditionals computed once."""
-    f = Factor(np.linspace(0.0, 1.0, _PD_CELLS + 1))
-    c = f.clipped
-    for a in (f.t, c.t, c.ppf, c.log, c.flip.t, c.flip.log):
-        a.setflags(write=False)
-    return f
+def _decide(rng, bounds: tuple, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uniforms u of draws in the factor cells ``cell``, the defaults that
+    the cell bounds (lo, hi) decide (u < lo), and the band: the draws they
+    leave to the pd."""
+    lo, hi = bounds
+    u = rng.random(cell.size)
+    hit = u < lo[cell]
+    return u, hit, np.flatnonzero((u < hi[cell]) ^ hit)
 
 
 def _run_chunks(samples: int, seed: int, run: int, workers: int, chunk_fn) -> tuple[np.ndarray, list]:
@@ -264,13 +216,13 @@ def _run_chunks(samples: int, seed: int, run: int, workers: int, chunk_fn) -> tu
 
 @dataclass(frozen=True, eq=False)
 class _Deferred:
-    """Band draws a chunk left to its deterministic-LGD tables.
+    """Band draws a chunk left to its deterministic-LGD singletons.
 
     ``touched`` are the chunk positions in any band.  Group g's loss term
     there is ``scales[g] * values[g]`` (``simulate_losses``): the defaults
     of a deterministic-LGD singleton, False at its own band draws, or the
     LGD total of any other group.  ``bands[j]`` holds the (column in
-    ``touched``, factor value, uniform) arrays of the j-th deferring table.
+    ``touched``, factor value, uniform) arrays of the j-th deferring group.
     """
 
     loss: np.ndarray
@@ -279,12 +231,12 @@ class _Deferred:
     bands: list
 
 
-def _settle_bands(deferred: list, scales: list, tables: dict) -> None:
-    """Evaluate each deferring table's pd once over its band draws from every
+def _settle_bands(deferred: list, scales: list, profiles: dict) -> None:
+    """Evaluate each deferring group's pd once over its band draws from every
     chunk, then sum the touched scenarios' terms again in group order;
-    ``tables`` maps the deferring groups' indices, in order, to their tables."""
+    ``profiles`` maps the deferring groups' indices, in order, to their profiles."""
     offsets = np.cumsum([0] + [d.touched.size for d in deferred])
-    band_of = {g: j for j, g in enumerate(tables)}
+    band_of = {g: j for j, g in enumerate(profiles)}
     total = np.zeros(offsets[-1])
     for g, scale in enumerate(scales):
         values = np.concatenate([d.values[g] for d in deferred])
@@ -294,7 +246,7 @@ def _settle_bands(deferred: list, scales: list, tables: dict) -> None:
             if cols.size:
                 t = np.concatenate([t for _, t, _ in bands])
                 u = np.concatenate([u for _, _, u in bands])
-                values[cols] = u < tables[g].pd(Factor(t))
+                values[cols] = u < profiles[g]._pd_at(Factor(t))
         total += scale * values
     for d, a, b in zip(deferred, offsets[:-1], offsets[1:]):
         d.loss[d.touched] = total[a:b]
@@ -322,49 +274,50 @@ def simulate_losses(
     ``run`` keys the streams with ``seed``.  A comonotone group defaults
     where the factor passes its threshold 1 - pd, and an independent
     singleton where a uniform falls below its pd.  Any other singleton does
-    too, but its pd table (``_PdTable``) decides most draws without
-    evaluating the pd; a deterministic-LGD singleton's table evaluates it
-    once per run (``_settle_bands``).  Every other pooled group draws a
-    binomial count at its pd.  The sample records the pooled group sizes
-    and the share of the table-drawn draws that evaluated their pd.
+    too, but its profile's cell bounds, built once per profile, decide most
+    draws without evaluating the pd (``_decide``); a deterministic-LGD
+    singleton evaluates it once per run (``_settle_bands``).  Every other
+    pooled group draws a binomial count at its pd.  The sample records the
+    pooled group sizes and the share of the bounds-decided draws that
+    evaluated their pd.
     """
     _validate_alignment(profiles, portfolio)
     groups = _pool(portfolio, profiles)
-    tables = [
-        _PdTable(g.profile)
+    # the cell bounds of the profiles singletons draw from, built once per profile
+    drawn = dict.fromkeys(
+        g.profile for g in groups
         if g.n == 1 and not isinstance(g.profile, (IndependentProfile, ComonotoneProfile))
-        else None
-        for g in groups
-    ]
-    n_tables = sum(t is not None for t in tables)
+    )
+    bounds_of = {p: p._cell_bounds() for p in drawn}
+    cell_bounds = [bounds_of.get(g.profile) if g.n == 1 else None for g in groups]
+    n_bounded = sum(b is not None for b in cell_bounds)
     # a deterministic-LGD singleton's loss term is (weight * value) * its
     # default count, weight * (value * count) bit for bit because the count is
     # 0 or 1; any other group's is weight * its LGD total
     bits = [g.n == 1 and isinstance(g.lgd, DeterministicLgd) for g in groups]
     scales = [g.weight * g.lgd.value if b else g.weight for g, b in zip(groups, bits)]
-    # the tables whose band draws wait for the end of the run, by group index
-    deferring = {i: t for i, (t, b) in enumerate(zip(tables, bits)) if t is not None and b}
+    # the profiles whose band draws wait for the end of the run, by group index
+    deferring = {i: g.profile for i, (g, b) in enumerate(zip(groups, bits)) if b and cell_bounds[i]}
 
     def chunk(rng, loss):
         m = loss.size
         f = Factor(_stratified(rng, m))
-        cell = _cell(f.t, _PD_CELLS) if n_tables else None
+        cell = _cell(f.t, _PD_CELLS) if n_bounded else None
         n_eval = 0
-        values, bands = [], []  # per group, and (band, t, u) per deferring table
-        for grp, table, scale, bit in zip(groups, tables, scales, bits):
+        values, bands = [], []  # per group, and (band, t, u) per deferring group
+        for grp, bounds, scale, bit in zip(groups, cell_bounds, scales, bits):
             p = grp.profile
             if isinstance(p, ComonotoneProfile):
                 counts = grp.n * (f.t >= 1.0 - p.pd).astype(np.int64)
-            elif grp.n == 1:
-                if table is None:
-                    counts = rng.random(m) < p.pd
-                elif bit:
-                    u, counts, band = table.decide(rng, cell)
+            elif bounds is not None:
+                u, counts, band = _decide(rng, bounds, cell)
+                n_eval += band.size
+                if bit:
                     bands.append((band, f.t[band], u[band]))
-                    n_eval += band.size
-                else:
-                    counts, k = table.draw(rng, f, cell)
-                    n_eval += k
+                elif band.size:
+                    counts[band] = u[band] < p._pd_at(f[band])
+            elif grp.n == 1:
+                counts = rng.random(m) < p.pd
             else:
                 counts = rng.binomial(grp.n, p._pd_at(f))
             v = counts if bit else _lgd_total(rng, grp.lgd, counts)
@@ -389,7 +342,7 @@ def simulate_losses(
     return LossSample(
         losses,
         group_sizes=tuple(g.n for g in groups),
-        exact_pd_share=sum(n for n, _ in results) / (samples * n_tables) if n_tables else None,
+        exact_pd_share=sum(n for n, _ in results) / (samples * n_bounded) if n_bounded else None,
     )
 
 
@@ -438,35 +391,6 @@ def _exact_comonotone(groups) -> LossSample:
             prev = tau
     weights.append(1.0 - prev)
     return _merge_support(np.asarray(support), np.asarray(weights))
-
-
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) for |x| < 1, by the three-term recurrence."""
-    p_prev, p = np.ones_like(x), x
-    for j in range(2, n + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-    return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
-
-
-def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n Gauss-Legendre nodes on [-1, 1], ascending, and their weights:
-    Newton's method on P_n from Tricomi's approximations of its roots, in
-    O(n^2) work and without a matrix.  Only the roots in [0, 1) are found,
-    and the others mirrored, so the rule is exactly symmetric."""
-    k = np.arange(1, (n + 1) // 2 + 1)
-    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
-    for _ in range(100):
-        p, dp = _legendre(n, x)
-        step = p / dp
-        x = x - step
-        if np.max(np.abs(step)) <= 1e-15:
-            break
-    if n % 2:
-        x[-1] = 0.0  # P_n is odd
-    dp = _legendre(n, x)[1]
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
-    half = n // 2  # the roots in (0, 1); an odd n adds 0 after them
-    return np.concatenate([-x[:half], x[::-1]]), np.concatenate([w[:half], w[::-1]])
 
 
 @functools.lru_cache(maxsize=8)

@@ -117,7 +117,7 @@ class TestBounds:
         assert [(g["run"], g["groups"], g["singleton_groups"]) for g in pooled] == [
             (run, 26, 26) for run in ["independent", "comonotone", *runs]
         ]
-        # the benchmark runs draw no singleton from a pd table; the model runs
+        # the benchmark runs decide no singleton by cell bounds; the model runs
         # evaluate the pd of a small share of their draws
         assert [g["exact_pd_share"] for g in pooled[:2]] == [None, None]
         assert all(0.0 < g["exact_pd_share"] < 0.05 for g in pooled[2:])

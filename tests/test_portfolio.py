@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -168,6 +169,17 @@ class TestCsvLoading:
             with pytest.raises(ConfigError, match=f"row 3, column '{column}': .*nan"):
                 load_portfolio_csv(p)
 
+    @pytest.mark.parametrize("row, empty, given", [
+        ("A,10,0.05,deterministic,0.4,,0.2,", "corr_hi", "corr_lo"),
+        ("A,10,0.05,deterministic,0.4,,,0.2", "corr_lo", "corr_hi"),
+        ("A,10,0.05,deterministic,0.4,,0.2,  ", "corr_hi", "corr_lo"),
+    ], ids=["only-corr_lo", "only-corr_hi", "blank-corr_hi"])
+    def test_half_given_corr_interval_rejected(self, tmp_path, row, empty, given):
+        p = tmp_path / "p.csv"
+        p.write_text(f"name,amount,pd,lgd_kind,lgd_mean,lgd_vol,corr_lo,corr_hi\n{row}\n")
+        with pytest.raises(ConfigError, match=f"row 2, column '{empty}': empty while '{given}' is given"):
+            load_portfolio_csv(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_portfolio_csv(tmp_path / "nope.csv")
@@ -251,6 +263,46 @@ class TestScenario:
             scenario_from_dict(base)
         ok = scenario_from_dict({**base, "point_copulas": {"family": "gaussian", "param": 0.4}})
         assert len(ok.point_copulas) == 2
+
+    @pytest.mark.parametrize("change, where, key", [
+        (lambda d: d.update(alpha=[0.9]), "scenario", "alpha"),
+        (lambda d: d["mc"].update(worker=8), "scenario field 'mc'", "worker"),
+        (lambda d: d["portfolio"].update(corr_intervall=[0.1, 0.2]), r"portfolio \(homogeneous\)",
+         "corr_intervall"),
+        (lambda d: d["portfolio"].update(corr_shift=0.05), r"portfolio \(homogeneous\)", "corr_shift"),
+        (lambda d: d["portfolio"]["lgd"].update(vol=0.1), r"portfolio\.lgd", "vol"),
+        (lambda d: d.update(point_copulas={"family": "gaussian", "param": 0.4, "rho": 0.4}),
+         r"point_copulas\[0\]", "rho"),
+        (lambda d: d.update(point_copulas={"family": "independence", "param": 0.4}),
+         r"point_copulas\[0\]", "param"),
+    ], ids=["scenario", "mc", "homogeneous", "homogeneous-csv-field", "lgd", "copula", "copula-no-param"])
+    def test_unknown_field_rejected(self, change, where, key):
+        doc = copy.deepcopy({**self.BASE, "model": "gaussian"})
+        scenario_from_dict(doc)
+        change(doc)
+        with pytest.raises(ConfigError, match=f"^{where}: unknown field '{key}'"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("field, kind, message", [
+        ("portfolio", ["csv"], r"portfolio: unknown kind \['csv'\]"),
+        ("lgd", {"beta": 1}, r"portfolio\.lgd: unknown lgd kind \{'beta': 1\}"),
+    ])
+    def test_unhashable_kind_is_an_unknown_kind(self, field, kind, message):
+        doc = copy.deepcopy({**self.BASE, "model": "gaussian"})
+        target = doc["portfolio"] if field == "portfolio" else doc["portfolio"]["lgd"]
+        target["kind"] = kind
+        with pytest.raises(ConfigError, match=message):
+            scenario_from_dict(doc)
+
+    def test_unknown_csv_portfolio_field_rejected(self, fixtures_dir):
+        doc = {
+            "portfolio": {"kind": "csv", "path": str(fixtures_dir / "idb_portfolio.csv"),
+                          "corr_intervall": [0.1, 0.2]},
+            "model": "gaussian",
+            "mc": {"samples": 10, "seed": 1},
+        }
+        with pytest.raises(ConfigError, match=r"^portfolio \(csv\): unknown field 'corr_intervall'"):
+            scenario_from_dict(doc)
 
     def test_invalid_json_reported(self, tmp_path):
         p = tmp_path / "broken.json"

@@ -355,6 +355,6 @@ class TestRiskReport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one run's sample, which its AVaR partitions in place, plus pd tables
+        # one run's sample, which its AVaR partitions in place, plus cell bounds
         # and chunk buffers; samples that outlive their runs need several more
         assert peak < 3.5 * samples * 8

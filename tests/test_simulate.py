@@ -8,12 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from creditbounds import simulate
+from conftest import FIXTURES
+from creditbounds import _normal, risk, simulate
+from creditbounds._normal import _legendre_rule
 from creditbounds.copulas import Clayton, Factor
-from creditbounds.portfolio import BetaLgd, Borrower, DeterministicLgd, homogeneous_portfolio
+from creditbounds.portfolio import BetaLgd, Borrower, DeterministicLgd, homogeneous_portfolio, load_scenario
 from creditbounds.profiles import (
     MODELS,
     ComonotoneProfile,
+    DefaultProfile,
     GridProfile,
     IndependentProfile,
     TabulatedPdCurve,
@@ -29,7 +32,6 @@ from creditbounds.simulate import (
     _N_BATCHES,
     _T_MAX,
     LossSample,
-    _PdTable,
     _binomial_pmf,
     _chunk_bounds,
     _chunk_rng,
@@ -254,7 +256,7 @@ class TestBernoulli:
         assert sample.group_sizes == (2, 1, 1)
 
 
-# pds whose tables reach 0, cross 0.5 or saturate
+# pds whose cell bounds reach 0, cross 0.5 or saturate
 TABLE_PDS = [1e-6, 0.5, 0.62, 1.0 - 1e-9]
 
 
@@ -296,7 +298,7 @@ def _grid(slopes) -> GridProfile:
 
 
 class TestPdTable:
-    """Singletons decided from the per-cell pd table draw as if every pd were evaluated."""
+    """Singletons decided by their profile's cell bounds draw as if every pd were evaluated."""
 
     @pytest.mark.filterwarnings("ignore:pointwise min of the profile family")
     @settings(max_examples=40, deadline=None)
@@ -321,11 +323,11 @@ class TestPdTable:
         assert np.all(profiles[0].conditional_pd(np.linspace(0.01, 0.29, 50)) == 0.0)
         _assert_matches_all_evaluated(profiles, borrowers, 40_000, seed=3)
 
-    # dips narrower than a table cell, which the table edges never see
+    # dips narrower than a cell, which the cell edges never see
     ZIGZAG = np.where(np.arange(3 * 4096) % 3 == 1, 0.05, np.linspace(0.2, 0.8, 3 * 4096))
 
     @pytest.mark.parametrize("profile", [
-        # a table that decreases over the second half
+        # cell edge values that decrease over the second half
         _grid(0.3 + 0.25 * np.sin(np.linspace(0.0, 2.0 * np.pi, 1000))),
         _grid(ZIGZAG),
         TabulatedPdCurve(ZIGZAG),
@@ -351,7 +353,7 @@ class TestDeferredBands:
 
     @staticmethod
     def _mixed():
-        """Deterministic and beta singletons on tables, a pooled group of
+        """Deterministic and beta singletons on cell bounds, a pooled group of
         three, an independent singleton, comonotone members, and pooled
         independent and Gaussian groups large enough for numpy's BTPE
         binomial on both sides of p = 0.5."""
@@ -401,13 +403,13 @@ class TestDeferredBands:
         assert len(settled) == 1 and settled[0] > _N_BATCHES
 
     def test_nan_reached_only_by_a_deferred_band_raises(self):
-        # a dip in every third step makes every table cell non-monotone, so
+        # a dip in every third step makes every cell non-monotone, so
         # all draws fall in the band; the NaN steps lie inside one cell,
-        # away from the table edges, which read every third step
+        # away from the cell edges, which read every third step
         knots = np.concatenate([[0.0], np.cumsum(TestPdTable.ZIGZAG) / TestPdTable.ZIGZAG.size])
         knots[3 * 2000 + 2] = np.nan
         profile = GridProfile(knots, float(knots[-1]))
-        assert np.all(_PdTable(profile).lo == 0.0)
+        assert np.all(profile._cell_bounds()[0] == 0.0)
         profiles, borrowers = TestPdTable()._with_gaussian(profile)
         with pytest.raises(ValueError, match="NaN"):
             simulate_losses(profiles, borrowers, 40_000, seed=1)
@@ -417,20 +419,43 @@ class TestDeferredBands:
     def test_each_table_evaluates_its_pd_once_per_run(self, monkeypatch, workers):
         monkeypatch.setattr(simulate, "_CHUNK", 500)
         calls = {}
-        pd = _PdTable.pd
+        pd_at = DefaultProfile._pd_at
 
         def counting(self, f):
             calls[id(self)] = calls.get(id(self), 0) + 1
-            return pd(self, f)
+            return pd_at(self, f)
 
-        monkeypatch.setattr(_PdTable, "pd", counting)
+        monkeypatch.setattr(DefaultProfile, "_pd_at", counting)
         profiles, borrowers = self._mixed()
         # the deterministic-LGD singletons only
         sample = simulate_losses(profiles[:4], borrowers[:4], 40_000, seed=5, workers=workers)
         assert sample.exact_pd_share > 0.0
-        # once for the table, and once for the band draws of all 80 chunks
-        # unless none of them fell in the band
-        assert len(calls) == 4 and max(calls.values()) == 2 and min(calls.values()) >= 1
+        # once for the cell bounds, and once for the band draws of all 80
+        # chunks unless none of them fell in the band
+        assert set(calls) == {id(p) for p in profiles[:4]}
+        assert max(calls.values()) == 2 and min(calls.values()) >= 1
+
+    @pytest.mark.filterwarnings("ignore:pointwise min of the profile family")
+    @pytest.mark.filterwarnings("ignore:.*clamped to 1 - 1e-9")
+    def test_cell_bounds_are_built_once_per_profile_per_run(self, monkeypatch):
+        built = []
+        cell_bounds = DefaultProfile._cell_bounds
+
+        def counting(self):
+            built.append(id(self))
+            return cell_bounds(self)
+
+        monkeypatch.setattr(DefaultProfile, "_cell_bounds", counting)
+        scenario = load_scenario(FIXTURES / "idb_scenario1.json")
+        total = 0
+        for _, _, run, profiles in risk.model_runs(scenario):
+            built.clear()
+            simulate_losses(profiles, scenario.borrowers, 2_000, seed=7, run=run)
+            # IDB sovereigns of equal pd share one profile object
+            assert sorted(built) == sorted({id(p) for p in profiles})
+            total += len(built)
+        # 26 singletons in each of the eight runs would be 208 builds
+        assert total == 112
 
 
 class TestStreams:
@@ -742,16 +767,21 @@ class TestGaussLegendre:
 
     @pytest.mark.parametrize("n", [16, 17, 256, 4096])
     def test_symmetric_ascending_and_normalised(self, n):
-        x, w = simulate._legendre_rule(n)
+        x, w = _legendre_rule(n)
         assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
         assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
         assert abs(_gauss_legendre(n)[1].sum() - 1.0) <= 1e-14
+
+    def test_bvn_takes_the_positive_half_of_the_20_point_rule(self):
+        x, w = np.polynomial.legendre.leggauss(20)
+        assert np.abs(_normal._GL_X - x[:9:-1]).max() <= 1e-14
+        assert np.abs(_normal._GL_W - w[:9:-1]).max() <= 1e-14
 
     def test_4096_nodes_against_mpmath(self):
         # leggauss(4096) solves a 4096 x 4096 eigenproblem, and its end
         # weights are off by 2e-13; refine three nodes at 30 digits instead
         n = 4096
-        x, w = simulate._legendre_rule(n)
+        x, w = _legendre_rule(n)
         mpmath.mp.dps = 30
 
         def recurrence(v):
