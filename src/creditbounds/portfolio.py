@@ -256,13 +256,18 @@ def load_portfolio_csv(
     if not path.exists():
         raise ConfigError(f"portfolio file not found: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        lines = csv.reader(fh)
+        header = next(lines, None)
+        if header is None:
             raise ConfigError(f"{path}: missing header row")
         for required in ("name", "amount", "pd"):
-            if required not in reader.fieldnames:
+            if required not in header:
                 raise ConfigError(f"{path}: missing required column {required!r}")
-        rows = list(reader)
+        rows = []
+        for fields in filter(None, lines):  # blank lines carry no row
+            if len(fields) != len(header):
+                raise ConfigError(f"row {len(rows) + 2}: {len(fields)} fields, the header has {len(header)}")
+            rows.append(dict(zip(header, fields)))
     if not rows:
         raise ConfigError(f"{path}: no borrower rows")
 
@@ -288,7 +293,7 @@ def load_portfolio_csv(
         pd = _clamped_pd(raw_pd, f"row {i} ({row['name']})")
         point = irb_correlation(pd, *irb_bounds)
         corr_column = None
-        given = [c for c in ("corr_lo", "corr_hi") if (row.get(c) or "").strip()]
+        given = [c for c in ("corr_lo", "corr_hi") if row.get(c, "").strip()]
         if len(given) == 1:
             empty = "corr_hi" if given == ["corr_lo"] else "corr_lo"
             raise ConfigError(

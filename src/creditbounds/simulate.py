@@ -37,7 +37,8 @@ suffix B of about equal combination counts and contracts the quadrature
 with one matrix product, weights[a, b] = sum_q w_q P_A[q, a] P_B[q, b], so
 no (nodes x support) array is ever built.  The pmfs are its own numpy code
 (``_binomial_pmf``): the closed form (1 - p, p) for a group of one, and
-Loader's (2000) saddle-point form, as in R's ``dbinom``, for pooled groups.
+for pooled groups the product of the ratios pmf(k + 1) / pmf(k) outward
+from the mode, normalised to sum to one, in plain double precision.
 """
 
 from __future__ import annotations
@@ -403,79 +404,31 @@ def _gauss_legendre(quad_nodes: int):
     return t, wq
 
 
-# stirlerr(k) for k = 0..15 (0 is a placeholder)
-_STIRLERR = np.array([
-    0.0, 0.08106146679532725822, 0.04134069595540929409, 0.02767792568499833915,
-    0.02079067210376509311, 0.01664469118982119216, 0.01387612882307074800,
-    0.01189670994589177010, 0.01041126526197209650, 0.009255462182712732918,
-    0.008330563433362871256, 0.007573675487951840795, 0.006942840107209529866,
-    0.006408994188004207068, 0.005951370112758847736, 0.005554733551962801371,
-])
-# extended precision where numpy has it (80-bit on x86-64): the far tails'
-# log-pmf sums terms of size k log k that cancel to the log of a small number,
-# and plain double there costs about two digits
-_LD = np.longdouble
-
-
-def _stirlerr(k: np.ndarray) -> np.ndarray:
-    """log k! - (k + 1/2) log k + k - log sqrt(2 pi) for integers k >= 1:
-    a table up to 15, then the asymptotic series."""
-    kk = k * k
-    s0, s1, s2, s3, s4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
-    # fewer series terms as k grows, with R's cut-offs
-    out = np.select(
-        [k > 500, k > 80, k > 35],
-        [(s0 - s1 / kk) / k, (s0 - (s1 - s2 / kk) / kk) / k, (s0 - (s1 - (s2 - s3 / kk) / kk) / kk) / k],
-        (s0 - (s1 - (s2 - (s3 - s4 / kk) / kk) / kk) / kk) / k,
-    )
-    small = k <= 15
-    out[small] = _STIRLERR[k[small]]
-    return out
-
-
-def _bd0(k: np.ndarray, klk: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """k log(k / m) + m - k for counts k (columns, with ``klk = k log k - k``)
-    and means m (rows).  Where |k - m| < 0.1 (k + m) it takes the series in
-    v = (k - m) / (k + m), which has no cancellation."""
-    out = klk - k * np.log(m) + m
-    near = (k > m * (9 / 11)) & (k < m * (11 / 9))
-    if near.any():
-        kn, mn = np.broadcast_to(k, out.shape)[near], np.broadcast_to(m, out.shape)[near]
-        d, kn = (kn - mn).astype(float), kn.astype(float)
-        v = d / (2.0 * kn - d)
-        s, term, v2 = d * v, 2.0 * kn * v, v * v
-        for j in range(3, 100, 2):
-            term *= v2
-            s, last = s + term / j, s
-            if np.array_equal(s, last):
-                break
-        out[near] = s
-    return out
-
-
 def _binomial_pmf(n: int, p: np.ndarray) -> np.ndarray:
     """(p.size x n + 1) binomial pmf of n trials at success probabilities p.
 
-    One trial is the closed form (1 - p, p).  More trials take Loader's
-    (2000) saddle-point form, as in R's ``dbinom_raw``: count k has
-    exp(stirlerr(n) - stirlerr(k) - stirlerr(n - k) - bd0(k, np) -
-    bd0(n - k, nq)) / sqrt(2 pi k (n - k) / n), and counts 0 and n have
-    q^n and p^n.
+    One trial is the closed form (1 - p, p).  More trials multiply the
+    ratios r_k = pmf(k + 1) / pmf(k) = (n - k) p / ((k + 1) q) outward from
+    the mode m = min(floor((n + 1) p), n): r_k for k >= m to the right,
+    1 / r_k for k < m to the left, then divide each row by its sum.  Every
+    factor is at most one and each side falls away from the mode, so
+    nothing overflows and an underflowed value has only smaller values
+    beyond it.  p = 0 and p = 1 give unit mass at 0 and at n.
     """
     if n == 1:
         return np.stack([1.0 - p, p], axis=1)
-    se = _stirlerr(np.arange(1, n + 1))  # stirlerr(1..n)
-    k = np.arange(1, n)
-    lead = se[-1] - se[:-1] - se[-2::-1] - 0.5 * np.log(2.0 * math.pi * (k * (n - k)) / n)
-    kl = k.astype(_LD)
-    klk = kl * np.log(kl) - kl
-    pl = p.astype(_LD)[:, None]
-    log_pmf = np.empty((p.size, n + 1), dtype=_LD)
-    with np.errstate(divide="ignore"):
-        log_pmf[:, :1] = n * np.log1p(-pl)
-        log_pmf[:, n:] = n * np.log(pl)
-        log_pmf[:, 1:n] = lead - _bd0(kl, klk, n * pl) - _bd0(kl[::-1], klk[::-1], n * (1.0 - pl))
-    return np.exp(log_pmf.astype(float))
+    p = p[:, None]
+    q = 1.0 - p
+    k = np.arange(n)
+    right = k >= np.minimum(np.floor((n + 1) * p), n)
+    # the quotient np.where discards may overflow or divide by zero
+    with np.errstate(divide="ignore", over="ignore"):
+        step = np.where(right, (n - k) * p / ((k + 1) * q), (k + 1) * q / ((n - k) * p))
+    ones = np.ones_like(p)
+    rise = np.cumprod(np.concatenate([ones, np.where(right, step, 1.0)], axis=1), axis=1)
+    fall = np.cumprod(np.concatenate([ones, np.where(right, 1.0, step)[:, ::-1]], axis=1), axis=1)
+    pmf = rise * fall[:, ::-1]
+    return pmf / pmf.sum(axis=1, keepdims=True)
 
 
 def _combination_pmf(f: Factor, groups) -> np.ndarray:

@@ -180,6 +180,17 @@ class TestCsvLoading:
         with pytest.raises(ConfigError, match=f"row 2, column '{empty}': empty while '{given}' is given"):
             load_portfolio_csv(p)
 
+    @pytest.mark.parametrize("row, fields, lgd", [
+        ("A,10,0.05", 3, None),
+        ("A,10,0.05", 3, DeterministicLgd(0.4)),
+        ("A,10,0.05,deterministic,0.4,,0.1,0.3,extra", 9, None),
+    ], ids=["short", "short-with-lgd", "long"])
+    def test_field_count_must_match_the_header(self, tmp_path, row, fields, lgd):
+        p = tmp_path / "p.csv"
+        p.write_text(f"name,amount,pd,lgd_kind,lgd_mean,lgd_vol,corr_lo,corr_hi\n{row}\n")
+        with pytest.raises(ConfigError, match=f"^row 2: {fields} fields, the header has 8$"):
+            load_portfolio_csv(p, lgd_override=lgd)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_portfolio_csv(tmp_path / "nope.csv")

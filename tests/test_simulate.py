@@ -801,7 +801,7 @@ class TestGaussLegendre:
 
 
 class TestBinomialPmf:
-    """The exact path's own binomial pmf against scipy.stats."""
+    """The exact path's own binomial pmf against scipy.stats and mpmath."""
 
     # scipy.stats raises OverflowError for 0 < p < 1e-300 or so
     PROBABILITIES = st.one_of(
@@ -824,6 +824,27 @@ class TestBinomialPmf:
         np.testing.assert_allclose(pmf.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
         if n == 1:
             assert np.array_equal(pmf, np.stack([1.0 - p, p], axis=1))
+
+    @pytest.mark.parametrize("p", [0.5, 0.3, 1e-3, 0.999])
+    def test_matches_mpmath_at_2000_trials(self, p):
+        # scipy's own error (about 6e-13) hides errors of this size
+        n = 2000
+        k = np.unique(np.r_[0:50, 50:n - 50:3, n - 50:n + 1])
+        with mpmath.workdps(40):
+            mp, mq = mpmath.mpf(p), 1 - mpmath.mpf(p)
+            reference = np.array([float(mpmath.binomial(n, int(j)) * mp**int(j) * mq**int(n - j)) for j in k])
+        pmf = _binomial_pmf(n, np.array([p]))[0, k]
+        compared = reference >= 1e-300
+        assert compared.sum() >= 50
+        rel = np.abs(pmf[compared] - reference[compared]) / reference[compared]
+        assert rel.max() <= 2e-13
+
+    def test_large_n_stays_finite_and_normalised(self):
+        # one pooled group may reach 2**20 - 1 borrowers under the exact cap
+        pmf = _binomial_pmf(10**5, np.array([1e-300, 1e-5, 0.5, 1.0 - 1e-16]))
+        assert pmf.shape == (4, 10**5 + 1)
+        assert np.all(np.isfinite(pmf)) and np.all(pmf >= 0.0)
+        np.testing.assert_allclose(pmf.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("n", [1, 4, 2000])
     def test_subnormal_p_puts_all_mass_on_zero(self, n):
