@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._floatrepr import repr_rows
 from .portfolio import ConfigError, DeterministicLgd, Scenario, load_scenario
 from .profiles import MODELS, curve_table
 from .risk import ResultInvariantError, bound_profiles, model_runs, risk_report
@@ -204,15 +205,14 @@ def cmd_validate(args) -> int:
 _CSV_BLOCK_ROWS = 4096
 
 
-def _write_exact_csv(path: Path, loss_strs: list, weights: np.ndarray) -> None:
-    """Write ``loss,probability`` rows, each ``f"{x!r},{p!r}"``, from the
-    already formatted ``repr(x) + ","`` loss column, a block at a time."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("loss,probability\n")
-        for i in range(0, len(loss_strs), _CSV_BLOCK_ROWS):
+def _write_exact_csv(path: Path, losses: np.ndarray, weights: np.ndarray) -> None:
+    """Write ``loss,probability`` rows, each ``f"{x!r},{p!r}"`` with LF line
+    ends, a block at a time, formatted by the vectorised ``repr``."""
+    with open(path, "wb") as fh:
+        fh.write(b"loss,probability\n")
+        for i in range(0, len(losses), _CSV_BLOCK_ROWS):
             j = i + _CSV_BLOCK_ROWS
-            fh.write("\n".join(map(str.__add__, loss_strs[i:j], map(repr, weights[i:j].tolist()))))
-            fh.write("\n")
+            fh.write(repr_rows(losses[i:j], weights[i:j]))
 
 
 def cmd_oracle(args) -> int:
@@ -220,9 +220,6 @@ def cmd_oracle(args) -> int:
     rows = ["model,side,samples,sup_distance,dkw_epsilon,pass"]
     exact_rows = []
     all_pass = True
-    # the support depends on the pooled groups only, so consecutive exact
-    # distributions usually share it: keep the last formatted loss column
-    loss_col, loss_strs = None, []
     with _recorded_warnings() as fired:
         scenario = _resolve_scenario(args)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -244,10 +241,7 @@ def cmd_oracle(args) -> int:
             all_pass &= ok
             rows.append(f"{model},{side},{scenario.mc.samples},{dist!r},{eps!r},{ok}")
             t3 = time.perf_counter()
-            if loss_col is None or not np.array_equal(loss_col, exact.losses):
-                loss_col = exact.losses
-                loss_strs = [repr(x) + "," for x in loss_col.tolist()]
-            _write_exact_csv(out_dir / f"exact_{model}_{side}.csv", loss_strs, exact.weights)
+            _write_exact_csv(out_dir / f"exact_{model}_{side}.csv", exact.losses, exact.weights)
             exact_rows.append({
                 "model": model,
                 "side": side,

@@ -263,16 +263,16 @@ def load_portfolio_csv(
         for required in ("name", "amount", "pd"):
             if required not in header:
                 raise ConfigError(f"{path}: missing required column {required!r}")
-        rows = []
+        rows = []  # (file line, row)
         for fields in filter(None, lines):  # blank lines carry no row
             if len(fields) != len(header):
-                raise ConfigError(f"row {len(rows) + 2}: {len(fields)} fields, the header has {len(header)}")
-            rows.append(dict(zip(header, fields)))
+                raise ConfigError(f"row {lines.line_num}: {len(fields)} fields, the header has {len(header)}")
+            rows.append((lines.line_num, dict(zip(header, fields))))
     if not rows:
         raise ConfigError(f"{path}: no borrower rows")
 
     amounts = []
-    for i, row in enumerate(rows, start=2):  # header is line 1
+    for i, row in rows:
         amount = _parse_float(i, "amount", row["amount"])
         if not math.isfinite(amount):
             raise ConfigError(f"row {i}, column 'amount': amount must be finite, got {amount!r}")
@@ -286,7 +286,7 @@ def load_portfolio_csv(
         total = 1.0  # already normalized (e.g. a file we wrote ourselves): keep weights bit-exact
 
     borrowers = []
-    for i, (row, amount) in enumerate(zip(rows, amounts), start=2):
+    for (i, row), amount in zip(rows, amounts):
         raw_pd = _parse_float(i, "pd", row["pd"])
         if not 0.0 < raw_pd < math.inf:  # NaN included; a finite pd of 1 or more is clamped
             raise ConfigError(f"row {i}, column 'pd': pd must be positive and finite, got {raw_pd!r}")

@@ -391,6 +391,18 @@ class TestOracle:
         assert lower.size == upper.size == 3 * 2**11
         assert lower.size > cli._CSV_BLOCK_ROWS and lower.size % cli._CSV_BLOCK_ROWS
 
+    def test_exact_csv_writer_on_edge_values(self, tmp_path):
+        crafted = [0.0, 5e-324, np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0),
+                   0.9999999999999999, 1.0, 1.0000000000000002]
+        n = cli._CSV_BLOCK_ROWS + 37  # one block and a partial one
+        weights = np.resize(np.array(crafted), n)
+        losses = np.linspace(0.0, 1.0, n)
+        cli._write_exact_csv(tmp_path / "e.csv", losses, weights)
+        reference = "loss,probability\n" + "".join(
+            f"{x!r},{p!r}\n" for x, p in zip(losses.tolist(), weights.tolist())
+        )
+        assert (tmp_path / "e.csv").read_bytes() == reference.encode("utf-8")
+
     def test_large_portfolio_rejected(self, fixtures_dir, tmp_path, capsys):
         # 25 homogeneous borrowers pool into one group: 26 support points
         doc = json.loads((fixtures_dir / "oracle_example.json").read_text())

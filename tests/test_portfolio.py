@@ -191,6 +191,16 @@ class TestCsvLoading:
         with pytest.raises(ConfigError, match=f"^row 2: {fields} fields, the header has 8$"):
             load_portfolio_csv(p, lgd_override=lgd)
 
+    @pytest.mark.parametrize("row, message", [
+        ("B,ten,0.05,deterministic,0.4", "^row 4, column 'amount'"),
+        ("B,10,0.05", "^row 4: 3 fields, the header has 5$"),
+    ], ids=["bad-amount", "short"])
+    def test_row_numbers_count_blank_lines(self, tmp_path, row, message):
+        p = tmp_path / "p.csv"
+        p.write_text(f"name,amount,pd,lgd_kind,lgd_mean\nA,10,0.05,deterministic,0.4\n\n{row}\n")
+        with pytest.raises(ConfigError, match=message):
+            load_portfolio_csv(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_portfolio_csv(tmp_path / "nope.csv")
