@@ -11,7 +11,9 @@ Profiles come in four flavours: the independence line, the comonotone
 kink, copula-backed analytic profiles (G(s) = s - C_hat(1 - pd, s)) and
 grid-backed profiles.  Envelopes (pointwise max / min over a family) are
 represented exactly through their members, bridging with straight
-segments only where the pointwise min fails convexity.
+segments only where the pointwise min fails convexity.  ``envelope``
+takes every decision, down to the member that each piece of the factor
+range follows, from one evaluation of each member's G.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -250,14 +252,18 @@ class GridProfile(DefaultProfile):
 class EnvelopeProfile(DefaultProfile):
     """Pointwise max or min of member profiles, evaluated through the members.
 
-    For the pointwise min, ``bridges`` lists the straight segments of the
-    greatest convex minorant wherever the raw min has a concave kink; the
-    raw min is kept when ``bridges`` is empty.
+    ``pieces`` is the member choice that ``envelope`` decided, piece i
+    spanning the factor levels from boundaries[i - 1] to boundaries[i].  For
+    the pointwise min, ``bridges`` lists the straight segments of the
+    greatest convex minorant wherever the raw min has a concave kink (the
+    raw min is kept when it is empty); inside a bridge the chord slope
+    overrides the member's derivative.
     """
 
     members: tuple
     take: str  # "max" or "min"
     pd: float
+    pieces: tuple  # (boundaries, member index per piece)
     bridges: tuple = field(default_factory=tuple)  # (a, b, g(a), g(b)) segments
 
     def __post_init__(self):
@@ -265,14 +271,10 @@ class EnvelopeProfile(DefaultProfile):
         if self.take not in ("max", "min"):
             raise ValueError("take must be 'max' or 'min'")
 
-    def _member_values(self, s):
-        return np.stack([m._g(s) for m in self.members])
-
     def _g(self, s):
         s = np.asarray(s, dtype=float)
-        vals = self._member_values(s)
-        out = vals.max(axis=0) if self.take == "max" else vals.min(axis=0)
-        out = np.atleast_1d(out)
+        vals = np.stack([m._g(s) for m in self.members])
+        out = np.atleast_1d(vals.max(axis=0) if self.take == "max" else vals.min(axis=0))
         flat_s = np.atleast_1d(s)
         for a, b, ga, gb in self.bridges:
             mask = (flat_s > a) & (flat_s < b)
@@ -281,27 +283,8 @@ class EnvelopeProfile(DefaultProfile):
                 out[mask] = np.minimum(out[mask], chord)
         return out.reshape(np.shape(s))
 
-    @cached_property
-    def _selection(self):
-        """Piecewise member choice: (boundaries, member index per piece).
-
-        Boundaries are located on a fine grid once; inside a bridge the
-        choice is irrelevant because the chord slope overrides the
-        derivative there.  Threads that compute it at once get equal arrays.
-        """
-        # cell midpoints: all members tie exactly at s = 0 and s = 1,
-        # which would otherwise corrupt the first and last piece
-        n = 4 * PROFILE_GRID_N
-        s = (np.arange(n) + 0.5) / n
-        vals = self._member_values(s)
-        pick = vals.argmax(axis=0) if self.take == "max" else vals.argmin(axis=0)
-        change = np.flatnonzero(np.diff(pick))
-        boundaries = 0.5 * (s[change] + s[change + 1])
-        piece_members = np.concatenate([pick[change], [pick[-1]]])
-        return boundaries, piece_members
-
     def _cpd(self, f):
-        boundaries, piece_members = self._selection
+        boundaries, piece_members = self.pieces
         pick = piece_members[np.searchsorted(boundaries, f.t, side="right")]
         out = np.empty(f.t.shape)
         for i, m in enumerate(self.members):
@@ -314,9 +297,8 @@ class EnvelopeProfile(DefaultProfile):
         return out
 
     def _breakpoints(self):
-        """The selection boundaries and the bridge ends."""
-        boundaries, _ = self._selection
-        return np.concatenate([boundaries, [x for a, b, *_ in self.bridges for x in (a, b)]])
+        """The piece boundaries and the bridge ends."""
+        return np.concatenate([self.pieces[0], [x for a, b, *_ in self.bridges for x in (a, b)]])
 
     def group_key(self):
         return ("envelope", self.take, self.pd, self.bridges,
@@ -467,19 +449,17 @@ def _lower_hull_indices(x: np.ndarray, y: np.ndarray) -> list:
 _SLOPE_DROP_TOL = 1e-7
 
 
-def _min_envelope(members: tuple, pd: float, s: np.ndarray, values: np.ndarray) -> DefaultProfile:
-    fine = np.linspace(0.0, 1.0, 4 * PROFILE_GRID_N)
-    fine_values = np.stack([m._g(fine) for m in members])
-    idx = _dominating_member(fine_values, "min")
-    if idx is not None:
-        return members[idx]
-    slopes = np.diff(fine_values.min(axis=0)) * (fine.size - 1)
-    if np.all(np.diff(slopes) >= -_SLOPE_DROP_TOL):
-        return EnvelopeProfile(members, "min", pd)
-    # repair: greatest convex minorant, replacing kinked stretches by chords.
-    # The hull is anchored on the standard profile grid so that the repaired
-    # values are a convex sequence exactly where the axioms are checked.
-    raw = values.min(axis=0)
+def _pieces(s: np.ndarray, values: np.ndarray, take: str) -> tuple:
+    """(boundaries, member index per piece) of the members' pointwise max or
+    min, located between neighbouring points of the grid s."""
+    pick = values.argmax(axis=0) if take == "max" else values.argmin(axis=0)
+    change = np.flatnonzero(np.diff(pick))
+    return 0.5 * (s[change] + s[change + 1]), np.concatenate([pick[change], [pick[-1]]])
+
+
+def _convex_minorant_bridges(s: np.ndarray, raw: np.ndarray) -> tuple:
+    """Chords of the greatest convex minorant of the points (s, raw) over each
+    stretch where raw rises above it, with a warning."""
     hull = _lower_hull_indices(s, raw)
     bridges = []
     for a, b in zip(hull[:-1], hull[1:]):
@@ -492,7 +472,7 @@ def _min_envelope(members: tuple, pd: float, s: np.ndarray, values: np.ndarray) 
         f"replaced by its greatest convex minorant across {len(bridges)} segment(s)",
         stacklevel=3,
     )
-    return EnvelopeProfile(members, "min", pd, tuple(bridges))
+    return tuple(bridges)
 
 
 def envelope(profiles) -> ProfileEnvelope:
@@ -513,12 +493,28 @@ def envelope(profiles) -> ProfileEnvelope:
     if len(members) == 1:
         return ProfileEnvelope(members[0], members[0])
 
-    s = np.linspace(0.0, 1.0, PROFILE_GRID_N)
-    values = np.stack([m._g(s) for m in members])
+    # one evaluation of each member on three grids: the profile grid (max
+    # dominance; the repair's hull, so that the repaired values are convex
+    # exactly where the axioms are checked), a four times finer grid (min
+    # dominance and convexity) and as many cell midpoints (the pieces: all
+    # members tie at s = 0 and s = 1, which would corrupt the end pieces)
+    n = 4 * PROFILE_GRID_N
+    s, fine = np.linspace(0.0, 1.0, PROFILE_GRID_N), np.linspace(0.0, 1.0, n)
+    mid = (np.arange(n) + 0.5) / n
+    values = np.stack([m._g(np.concatenate([s, fine, mid])) for m in members])
+    on_s, on_fine, on_mid = np.split(values, [s.size, s.size + n], axis=1)
 
-    idx = _dominating_member(values, "max")
-    lower = members[idx] if idx is not None else EnvelopeProfile(members, "max", pd)
-    upper = _min_envelope(members, pd, s, values)
+    idx = _dominating_member(on_s, "max")
+    lower = (members[idx] if idx is not None
+             else EnvelopeProfile(members, "max", pd, _pieces(mid, on_mid, "max")))
+    idx = _dominating_member(on_fine, "min")
+    if idx is not None:
+        upper = members[idx]
+    else:
+        slopes = np.diff(on_fine.min(axis=0)) * (n - 1)
+        convex = np.all(np.diff(slopes) >= -_SLOPE_DROP_TOL)
+        bridges = () if convex else _convex_minorant_bridges(s, on_s.min(axis=0))
+        upper = EnvelopeProfile(members, "min", pd, _pieces(mid, on_mid, "min"), bridges)
     validate_profile(lower)
     validate_profile(upper)
     return ProfileEnvelope(lower, upper)

@@ -28,8 +28,11 @@ values it draws depends on its defaults.  Every evaluated conditional
 default probability comes from the profile's one clipped and checked call
 (``_pd_at``), so a NaN raises ValueError on every path.  It reads one
 shared ``Factor`` per chunk (per quadrature batch on the exact path, and
-one per process for the cell edges), so each factor transform runs at
-most once.
+one per process for the cell edges), so each factor transform runs once
+per chunk for the profiles that read the whole factor.  An envelope's
+members read masked subsets of it, which carry only the transforms
+computed before the mask was taken (``Factor.__getitem__``), so each
+member recomputes the others (``norm_ppf``, ``log``) on its own subset.
 
 The exact path integrates the product of the groups' conditional binomial
 pmfs over the factor.  It splits the pooled groups into a prefix A and a

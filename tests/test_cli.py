@@ -346,7 +346,7 @@ class TestOracle:
             assert (out / name).read_bytes() == reference.encode("utf-8"), name
         return [exact for _, exact in expected]
 
-    def test_exact_csvs_reuse_the_loss_column_only_for_equal_supports(self, tmp_path, capsys):
+    def test_exact_csvs_with_a_zero_exposure_and_unequal_supports(self, tmp_path, capsys):
         (tmp_path / "p.csv").write_text(
             "name,amount,pd,lgd_kind,lgd_mean,lgd_vol,corr_lo,corr_hi\n"
             "a,1.0,0.05,deterministic,0.6,,0.1,0.2\n"
@@ -365,8 +365,8 @@ class TestOracle:
         assert code == 0
         exacts = self._assert_exact_csv_bytes(sc, tmp_path / "o")
         # gaussian lower, gaussian upper, comonotone, independent, clayton lower and upper:
-        # the comonotone column (3 atoms) and the independent one after it (4) miss
-        # the last formatted column, and the clayton columns hit it
+        # the zero exposure adds no atom, the comonotone law has 3 atoms and every
+        # other law 4, and laws with equal support sizes share their losses
         assert [e.size for e in exacts] == [4, 4, 3, 4, 4, 4]
         assert np.array_equal(exacts[3].losses, exacts[0].losses)
         assert np.array_equal(exacts[4].losses, exacts[3].losses)

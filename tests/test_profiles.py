@@ -1,3 +1,4 @@
+import collections
 import math
 import warnings
 
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import FIXTURES
+from creditbounds import profiles
 from creditbounds._normal import norm_cdf, norm_ppf
 from creditbounds.copulas import (
     CHECK_TOL,
@@ -18,10 +21,11 @@ from creditbounds.copulas import (
     SurvivalClayton,
     is_pointwise_leq,
 )
-from creditbounds.portfolio import Borrower, DeterministicLgd
+from creditbounds.portfolio import Borrower, DeterministicLgd, load_scenario
 from creditbounds.profiles import (
     MODELS,
     ComonotoneProfile,
+    CopulaProfile,
     EnvelopeProfile,
     GridProfile,
     IndependentProfile,
@@ -250,6 +254,90 @@ class TestEnvelope:
         env = envelope([IndependentProfile(0.02), ComonotoneProfile(0.02)])
         with pytest.raises(ValueError):
             check_membership(IndependentProfile(0.05), env)
+
+
+def _hybrid_pair():
+    """The Gauss-Clayton pair whose envelope needs the convex repair."""
+    return gaussian_profile(0.1641, 0.02), clayton_profile(0.7232, 0.02)
+
+
+def _scanned_pieces(env: EnvelopeProfile) -> tuple:
+    """Reference member choice, scanned directly: the arg max/min of the
+    members over 4,004 cell midpoints."""
+    n = 4 * 1001
+    s = (np.arange(n) + 0.5) / n
+    vals = np.stack([m._g(s) for m in env.members])
+    pick = vals.argmax(axis=0) if env.take == "max" else vals.argmin(axis=0)
+    change = np.flatnonzero(np.diff(pick))
+    return 0.5 * (s[change] + s[change + 1]), np.concatenate([pick[change], [pick[-1]]])
+
+
+def _assert_scanned_pieces(env: EnvelopeProfile) -> None:
+    (boundaries, members), (want_b, want_m) = env.pieces, _scanned_pieces(env)
+    assert boundaries.dtype == want_b.dtype and boundaries.tobytes() == want_b.tobytes()
+    assert members.dtype == want_m.dtype and members.tobytes() == want_m.tobytes()
+
+
+class TestEnvelopeDecidedWhenBuilt:
+    """``envelope`` takes every decision from one evaluation of the members;
+    the profiles it builds never evaluate a member's G to find their pieces."""
+
+    def test_members_are_evaluated_once_and_never_for_the_conditional(self, monkeypatch):
+        calls = collections.Counter()
+        g = CopulaProfile._g
+
+        def counting(self, s):
+            calls[id(self)] += 1
+            return g(self, s)
+
+        seen = []
+        validate = profiles.validate_profile
+
+        def recording(profile):
+            seen.append(dict(calls))
+            validate(profile)
+
+        monkeypatch.setattr(CopulaProfile, "_g", counting)
+        monkeypatch.setattr(profiles, "validate_profile", recording)
+        ga, cl = _hybrid_pair()
+        with pytest.warns(UserWarning, match="convex minorant"):
+            env = envelope([ga, cl])
+        assert seen[0] == {id(ga): 1, id(cl): 1}
+        calls.clear()
+        for side in (env.lower, env.upper):
+            assert isinstance(side, EnvelopeProfile)
+            side._cell_bounds()
+            side._breakpoints()
+            side.conditional_pd(np.linspace(0.001, 0.999, 999))
+        assert not calls
+
+    def test_pieces_match_the_midpoint_scan(self):
+        with pytest.warns(UserWarning, match="convex minorant"):
+            env = envelope(_hybrid_pair())
+        for side in (env.lower, env.upper):
+            _assert_scanned_pieces(side)
+
+    def test_idb_scenario1_pieces_and_repairs(self):
+        with pytest.warns(UserWarning, match="clamped"):
+            scenario = load_scenario(FIXTURES / "idb_scenario1.json")
+        spec = MODELS["gauss_clayton"]
+        firsts, _ = spec.shared(scenario.borrowers, scenario.point_copulas)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bounds = {b.name: spec.bounds(b, c) for b, c in firsts.values()}
+        repairs = [w for w in caught if "greatest convex minorant" in str(w.message)]
+        assert len(repairs) == 11
+        envelopes = [p for pair in bounds.values() for p in pair if isinstance(p, EnvelopeProfile)]
+        assert len(envelopes) == 26
+        for env in envelopes:
+            _assert_scanned_pieces(env)
+        uppers = [up for _, up in bounds.values() if isinstance(up, EnvelopeProfile)]
+        assert sum(bool(up.bridges) for up in uppers) == 11
+        # the raw min of these two is convex on the linspace; the midpoints
+        # would find a bridge for Uruguay, so convexity must not be read there
+        for name in ("Chile", "Uruguay"):
+            upper = bounds[name][1]
+            assert isinstance(upper, EnvelopeProfile) and upper.bridges == ()
 
 
 class TestRearrangement:
