@@ -148,7 +148,7 @@ def cmd_bounds(args) -> int:
     _write_meta(
         out_dir, scenario, wall,
         {"standard_errors": ses, "chain_margins": report.chain_margins(),
-         "pooled_groups": report.pooling, "warnings": fired},
+         "pooled_groups": report.pooling, "run_times": report.run_times, "warnings": fired},
     )
     sys.stdout.write(report.to_text())
     return 0

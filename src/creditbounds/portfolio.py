@@ -72,7 +72,8 @@ def irb_correlation(pd: float, lo_bound: float = 0.12, hi_bound: float = 0.24) -
 
 
 def beta_params(mean: float, vol: float) -> tuple[float, float]:
-    """Moment-matched beta distribution parameters (a, b)."""
+    """Moment-matched beta distribution parameters (a, b), both finite and
+    positive."""
     if not (0.0 < mean < 1.0):
         raise ValueError(f"mean must lie in (0, 1), got {mean}")
     if not vol > 0.0:
@@ -82,8 +83,12 @@ def beta_params(mean: float, vol: float) -> tuple[float, float]:
             f"infeasible beta moments: vol^2 = {vol * vol:.6g} must be below "
             f"mean*(1-mean) = {mean * (1.0 - mean):.6g}"
         )
-    k = mean * (1.0 - mean) / (vol * vol) - 1.0
-    return mean * k, (1.0 - mean) * k
+    # divided twice: vol^2 itself may underflow
+    k = mean * (1.0 - mean) / vol / vol - 1.0
+    a, b = mean * k, (1.0 - mean) * k
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"vol = {vol!r} gives beta shapes ({a!r}, {b!r}); they must be finite and positive")
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,11 @@ class DeterministicLgd:
 
 @dataclass(frozen=True)
 class BetaLgd:
-    """Beta-distributed loss given default, moment-parameterized."""
+    """Beta-distributed loss given default, moment-parameterized.
+
+    Draws come from the exact table sampler of ``_beta.BetaTable``, whose
+    table is built on first use and then only read.
+    """
 
     mean_: float
     vol: float
@@ -119,9 +128,19 @@ class BetaLgd:
     def shape(self) -> tuple[float, float]:
         return beta_params(self.mean_, self.vol)
 
+    @functools.cached_property
+    def table(self):
+        # imported on first use, so that loading a scenario leaves the
+        # sampler unloaded
+        from ._beta import BetaTable
+
+        return BetaTable(*self.shape)
+
     def draw(self, rng, size: int):
-        a, b = self.shape
-        return rng.beta(a, b, size)
+        return self.table.draw(rng, size)
+
+    def sums(self, rng, counts):
+        return self.table.sums(rng, counts)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,10 @@ after the last chunk every such singleton evaluates p once over all of its
 band draws and the scenarios they touch are summed again in group order, so
 each loss keeps the bits of the draw-by-draw loop (``_settle_bands``).  A
 beta-LGD singleton settles its band inside the chunk, because how many LGD
-values it draws depends on its defaults.  Every evaluated conditional
+values it draws depends on its defaults.  Beta LGD values come from the
+exact table sampler of ``_beta``, one table per beta shape, fetched before
+the chunks start so that worker threads only read it; each group sums its
+draws per scenario a block at a time (``BetaTable.sums``).  Every evaluated conditional
 default probability comes from the profile's one clipped and checked call
 (``_pd_at``), so a NaN raises ValueError on every path.  It reads one
 shared ``Factor`` per chunk (per quadrature batch on the exact path, and
@@ -55,7 +58,7 @@ import numpy as np
 
 from ._normal import _legendre_rule
 from .copulas import Factor
-from .portfolio import DeterministicLgd
+from .portfolio import BetaLgd, DeterministicLgd
 from .profiles import _PD_CELLS, ComonotoneProfile, IndependentProfile, _cell
 
 __all__ = [
@@ -176,17 +179,12 @@ def _stratified(rng, m: int) -> np.ndarray:
 
 
 def _lgd_total(rng, lgd, counts: np.ndarray) -> np.ndarray:
-    """Sum of iid LGD draws per scenario, given default counts."""
+    """Sum of iid LGD draws per scenario, given default counts; ``lgd`` is
+    a ``DeterministicLgd`` or has ``sums(rng, counts)`` (a beta LGD or its
+    sampling table), which sums them without holding them all."""
     if isinstance(lgd, DeterministicLgd):
         return lgd.value * counts
-    total = np.zeros(counts.size)
-    hit = np.flatnonzero(counts)
-    if hit.size:
-        n = counts[hit]
-        draws = lgd.draw(rng, int(n.sum()))
-        # one segment of draws per scenario with defaults, in scenario order
-        total[hit] = np.add.reduceat(draws, np.cumsum(n) - n)
-    return total
+    return lgd.sums(rng, counts)
 
 
 def _decide(rng, bounds: tuple, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -302,6 +300,13 @@ def simulate_losses(
     scales = [g.weight * g.lgd.value if b else g.weight for g, b in zip(groups, bits)]
     # the profiles whose band draws wait for the end of the run, by group index
     deferring = {i: g.profile for i, (g, b) in enumerate(zip(groups, bits)) if b and cell_bounds[i]}
+    # one beta sampling table per shape, built before the chunks so that the
+    # workers only read it
+    tables = {}
+    for g in groups:
+        if isinstance(g.lgd, BetaLgd) and g.lgd.shape not in tables:
+            tables[g.lgd.shape] = g.lgd.table
+    lgds = [tables[g.lgd.shape] if isinstance(g.lgd, BetaLgd) else g.lgd for g in groups]
 
     def chunk(rng, loss):
         m = loss.size
@@ -309,7 +314,7 @@ def simulate_losses(
         cell = _cell(f.t, _PD_CELLS) if n_bounded else None
         n_eval = 0
         values, bands = [], []  # per group, and (band, t, u) per deferring group
-        for grp, bounds, scale, bit in zip(groups, cell_bounds, scales, bits):
+        for grp, lgd, bounds, scale, bit in zip(groups, lgds, cell_bounds, scales, bits):
             p = grp.profile
             if isinstance(p, ComonotoneProfile):
                 counts = grp.n * (f.t >= 1.0 - p.pd).astype(np.int64)
@@ -324,7 +329,7 @@ def simulate_losses(
                 counts = rng.random(m) < p.pd
             else:
                 counts = rng.binomial(grp.n, p._pd_at(f))
-            v = counts if bit else _lgd_total(rng, grp.lgd, counts)
+            v = counts if bit else _lgd_total(rng, lgd, counts)
             loss += scale * v
             if deferring:
                 values.append(v)

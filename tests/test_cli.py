@@ -123,6 +123,19 @@ class TestBounds:
         assert all(0.0 < g["exact_pd_share"] < 0.05 for g in pooled[2:])
         assert "groups" not in (out / "report.csv").read_text()
 
+    def test_meta_times_every_run(self, small_scenario, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, "bounds", "--scenario", str(small_scenario), "--out", str(out))
+        assert code == 0
+        meta = json.loads((out / "meta.json").read_text())
+        times = meta["run_times"]
+        assert [t["run"] for t in times] == [g["run"] for g in meta["pooled_groups"]]
+        assert [t["run"] for t in times[:2]] == ["independent", "comonotone"] and len(times) == 10
+        for t in times:
+            assert set(t) == {"run", "simulate_s", "avar_s"}
+            assert t["simulate_s"] > 0.0 and t["avar_s"] >= 0.0
+        assert sum(t["simulate_s"] + t["avar_s"] for t in times) <= meta["wall_time_s"] + 0.01
+
     def test_meta_gives_every_chain_link_its_margin(self, small_scenario, tmp_path, capsys):
         out = tmp_path / "out"
         code, _, _ = run(capsys, "bounds", "--scenario", str(small_scenario), "--out", str(out))
@@ -542,6 +555,21 @@ def test_wrong_typed_field_is_named(patch, field, fixtures_dir, tmp_path, capsys
     code, _, err = run(capsys, "validate", "--scenario", str(sc))
     assert code == 1
     assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("command", ["validate", "bounds"])
+@pytest.mark.parametrize("vol", [1e-200, 1e-160])
+def test_tiny_beta_vol_exits_one(command, vol, fixtures_dir, tmp_path, capsys):
+    doc = json.loads((fixtures_dir / "scenario2.json").read_text())
+    doc["portfolio"]["lgd"]["vol"] = vol
+    doc["mc"]["samples"] = 1000
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(doc))
+    out = ["--out", str(tmp_path / "o")] if command == "bounds" else []
+    code, _, err = run(capsys, command, "--scenario", str(sc), *out)
+    assert code == 1
+    assert err.startswith("error: portfolio.lgd: vol = ")
+    assert not (tmp_path / "o" / "report.csv").exists()
 
 
 def test_integral_float_counts_are_accepted(fixtures_dir, tmp_path, capsys):

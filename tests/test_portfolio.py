@@ -77,6 +77,25 @@ class TestBetaParams:
         with pytest.raises(ValueError):
             BetaLgd(0.1, 0.5)
 
+    # vol^2 underflows to zero, or to a subnormal that makes the shapes infinite
+    @pytest.mark.parametrize("vol", [1e-200, 1e-160])
+    def test_tiny_vol_rejected_naming_vol(self, vol, tmp_path):
+        with pytest.raises(ValueError, match=f"vol = {vol!r} gives beta shapes .* finite and positive"):
+            beta_params(0.5, vol)
+        doc = {"portfolio": {"kind": "homogeneous", "n": 2, "pd": 0.1,
+                             "lgd": {"kind": "beta", "mean": 0.5, "vol": vol}},
+               "model": "gaussian", "mc": {"samples": 10, "seed": 1}}
+        with pytest.raises(ConfigError, match=r"portfolio\.lgd: vol = "):
+            scenario_from_dict(doc)
+        p = tmp_path / "p.csv"
+        p.write_text(f"name,amount,pd,lgd_kind,lgd_mean,lgd_vol\nA,1,0.05,beta,0.5,{vol!r}\n")
+        with pytest.raises(ConfigError, match="row 2, column 'lgd_vol': vol = "):
+            load_portfolio_csv(p)
+
+    def test_smallest_vols_that_give_finite_shapes_are_accepted(self):
+        a, b = beta_params(0.1, 1e-10)
+        assert a == pytest.approx(9e17) and b == pytest.approx(8.1e18)
+
 
 class TestHomogeneousPortfolio:
     def test_scenario_one_portfolio(self):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import math
 import tracemalloc
 import warnings
 
@@ -325,6 +326,27 @@ class TestRiskReport:
         )
         with pytest.raises(ResultInvariantError, match="exceeds"):
             _check_chain(bad)
+
+    def test_nan_avar_breaks_the_chain(self):
+        nan = float("nan")
+        report = RiskReport(
+            scenario_label="nan",
+            models=("gaussian",),
+            alphas=(0.95,),
+            rows=(BoundRow("gaussian", 0.95, nan, nan, 0.0, 0.0),),
+            benchmarks=(BenchmarkRow(0.95, 0.001, 0.1, 0.0, 0.0),),
+            samples=1,
+            seed=1,
+        )
+        message = r"AVaR\(independent\) = 0\.001000 is not ordered with AVaR\(lower\) = nan"
+        with pytest.raises(ResultInvariantError, match=message):
+            _check_chain(report)
+
+    @pytest.mark.filterwarnings("ignore:alpha")
+    def test_nan_standard_errors_of_a_tiny_sample_pass_the_chain(self):
+        # fewer samples than standard-error batches: every SE is NaN
+        report = risk_report(_tiny_scenario(samples=10))
+        assert all(math.isnan(r.se_lower) for r in report.rows)
 
     def test_thin_batch_tails_warn(self):
         with pytest.warns(UserWarning, match=r"alpha 0\.99: 1 tail draws .* --samples 20000 "):
