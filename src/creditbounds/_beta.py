@@ -55,11 +55,13 @@ arithmetic, of the table's probabilities (to the 2^-64 resolution of the
 alias thresholds; a piece below it is never picked) and the 53-bit
 resolution of the uniforms.
 
-Sampling draws candidates in blocks of at most ``_BLOCK``, a sixteenth and
-two more than the draws still needed, and keeps the accepted ones in
-candidate order, written straight into the output; ``sums`` adds them up
-per scenario a block at a time instead, so that a simulation never holds
-all of a chunk's LGD draws.  Per candidate one 64-bit word picks the
+Sampling draws candidates in rounds of at most ``_BLOCK``, a sixteenth and
+two more than the draws still needed, and copies the accepted ones, in
+candidate order, into the output, so that no temporary outgrows a round.
+``sums`` adds them up per scenario a round at a time instead, so that a
+pooled group never holds all of a chunk's LGD draws; where every count is
+0 or 1 (a single borrower) it takes them from ``draw``, as many as the
+scenarios that default.  Per candidate one 64-bit word picks the
 alias column and side, and one uniform w decides the squeeze
 (w < squeeze/envelope) and, divided by that ratio, places the draw inside
 its piece; only draws above the squeeze take a fresh place and the
@@ -109,17 +111,6 @@ def _expit(z: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-z)) without overflow at either end."""
     e = np.exp(-np.abs(z))
     return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _work(m: int) -> tuple:
-    """Work arrays of one block of candidates, reused by every round of a
-    draw, so that no round allocates a block-sized array: slots, alias
-    thresholds, uniforms, places, a scratch array and two masks (the
-    thresholds share the scratch array's memory: they are read before it
-    is written)."""
-    tmp = np.empty(m)
-    return (np.empty(m, np.int64), tmp.view(np.uint64), np.empty(m), np.empty(m), tmp,
-            np.empty(m, bool), np.empty(m, bool))
 
 
 class BetaTable:
@@ -340,34 +331,36 @@ class BetaTable:
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` Beta(a, b) draws from ``rng``."""
         out = np.empty(size)
-        work = _work(_round(size))
         done = 0
         while done < size:
-            done += self._candidates(rng, work, _round(size - done), out[done:])
+            done += self._candidates(rng, _round(size - done), out[done:])
         if self.flip:
             np.subtract(1.0, out, out=out)
         return out
 
     def sums(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
         """Per entry of ``counts``, the sum of that many consecutive draws,
-        the draws being those of ``draw(rng, counts.sum())``, summed a block
+        the draws being those of ``draw(rng, counts.sum())``, summed a round
         at a time so that they are never all in memory at once."""
         total = np.zeros(counts.size)
         hit = counts.nonzero()[0]
-        if not hit.size:
-            return total
         n = counts[hit]
+        size = int(n.sum())
+        if size == hit.size:  # one draw per scenario with a default, if any
+            total[hit] = self.draw(rng, size)
+            return total
         ends = np.cumsum(n)
         starts = ends - n
-        size = int(ends[-1])
-        work, block = _work(_round(size)), np.empty(min(size, _BLOCK))
+        block = np.empty(min(size, _BLOCK))
         done = 0
         while done < size:
-            values = block[:self._candidates(rng, work, _round(size - done), block[:size - done])]
+            values = block[:self._candidates(rng, _round(size - done), block[:size - done])]
+            if not values.size:  # a round that accepted no candidate
+                continue
             if self.flip:
                 np.subtract(1.0, values, out=values)
             # the scenarios whose draws overlap [done, stop); the first of
-            # them may have begun in an earlier block
+            # them may have begun in an earlier round
             stop = done + values.size
             first = np.searchsorted(ends, done, side="right") if done else 0
             last = hit.size if stop == size else np.searchsorted(starts, stop, side="left")
@@ -377,35 +370,40 @@ class BetaTable:
             done = stop
         return total
 
-    def _candidates(self, rng, work: tuple, m: int, out: np.ndarray) -> int:
-        """Draw m candidates in the work arrays and write the accepted ones,
-        in candidate order, to the start of ``out``, as many as it holds;
-        returns how many."""
-        slot, thr, w, x, tmp, quick, mask = (a[:m] for a in work)
+    def _candidates(self, rng, m: int, out: np.ndarray) -> int:
+        """Draw m candidates and write the accepted ones, in candidate
+        order, to the start of ``out``, as many as it holds; returns how
+        many."""
         # the column from a word's top bits, its own piece or its alias by
-        # the rest (gathers in "clip" mode are unbuffered; no index clips)
+        # the rest (a signed index gathers without a cast; each round-sized
+        # temporary is released once read, so that few are held at a time)
         words = rng.bit_generator.random_raw(m)
-        np.right_shift(words, self._shift, out=slot.view(np.uint64))
-        self._thr.take(slot, out=thr, mode="clip")
-        np.greater_equal(np.bitwise_and(words, self._mask, out=words), thr, out=quick)
-        np.bitwise_or(np.left_shift(slot, 1, out=slot), quick, out=slot)
-        rng.random(out=w)
-        np.less(w, self._slot_ratio.take(slot, out=tmp, mode="clip"), out=quick)
+        slot = (words >> self._shift).view(np.int64)
+        words &= self._mask
+        side = words >= self._thr[slot]
+        del words
+        slot <<= 1
+        slot |= side
+        w = rng.random(m)
+        keep = w < self._slot_ratio[slot]
         # under the squeeze w / ratio is uniform on [0, 1) and places the draw
-        self._slot_lo.take(slot, out=x, mode="clip")
-        x += np.multiply(self._slot_scale.take(slot, out=tmp, mode="clip"), w, out=tmp)
+        x = self._slot_lo[slot]
+        step = self._slot_scale[slot]
+        step *= w
+        x += step
+        del step
         # a draw above it (every draw of an end piece) takes a fresh place
         # and the density
-        cap = np.logical_not(quick, out=mask).nonzero()[0]
+        cap = np.logical_not(keep).nonzero()[0]
         if cap.size:
             piece = self.slot_piece[slot[cap]]
             x[cap] = x_cap = self._place(piece, rng.random(cap.size))
-            quick[cap] = w[cap] < np.exp(self._log_ratio(piece, x_cap))
-        accepted = int(np.count_nonzero(quick))
+            keep[cap] = w[cap] < np.exp(self._log_ratio(piece, x_cap))
+        accepted = int(np.count_nonzero(keep))
         if accepted > out.size:  # the last round: keep the first draws
-            stop = int(quick.nonzero()[0][out.size - 1]) + 1
-            quick, x, accepted = quick[:stop], x[:stop], out.size
-        x.compress(quick, out=out[:accepted])
+            stop = int(keep.nonzero()[0][out.size - 1]) + 1
+            keep, x, accepted = keep[:stop], x[:stop], out.size
+        out[:accepted] = x[keep]
         return accepted
 
     def _place(self, piece, v) -> np.ndarray:

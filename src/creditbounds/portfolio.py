@@ -110,8 +110,8 @@ class DeterministicLgd:
 class BetaLgd:
     """Beta-distributed loss given default, moment-parameterized.
 
-    Draws come from the exact table sampler of ``_beta.BetaTable``, whose
-    table is built on first use and then only read.
+    Draws come from the exact table sampler of ``_beta.BetaTable``; one
+    table per shape, built on first use and then only read.
     """
 
     mean_: float
@@ -128,19 +128,21 @@ class BetaLgd:
     def shape(self) -> tuple[float, float]:
         return beta_params(self.mean_, self.vol)
 
-    @functools.cached_property
+    @property
     def table(self):
-        # imported on first use, so that loading a scenario leaves the
-        # sampler unloaded
-        from ._beta import BetaTable
-
-        return BetaTable(*self.shape)
+        return _beta_table(*self.shape)
 
     def draw(self, rng, size: int):
         return self.table.draw(rng, size)
 
-    def sums(self, rng, counts):
-        return self.table.sums(rng, counts)
+
+@functools.cache
+def _beta_table(a: float, b: float):
+    # imported on first use, so that loading a scenario leaves the sampler
+    # unloaded
+    from ._beta import BetaTable
+
+    return BetaTable(a, b)
 
 
 @dataclass(frozen=True)

@@ -25,17 +25,18 @@ band draws and the scenarios they touch are summed again in group order, so
 each loss keeps the bits of the draw-by-draw loop (``_settle_bands``).  A
 beta-LGD singleton settles its band inside the chunk, because how many LGD
 values it draws depends on its defaults.  Beta LGD values come from the
-exact table sampler of ``_beta``, one table per beta shape, fetched before
-the chunks start so that worker threads only read it; each group sums its
-draws per scenario a block at a time (``BetaTable.sums``).  Every evaluated conditional
-default probability comes from the profile's one clipped and checked call
-(``_pd_at``), so a NaN raises ValueError on every path.  It reads one
-shared ``Factor`` per chunk (per quadrature batch on the exact path, and
-one per process for the cell edges), so each factor transform runs once
-per chunk for the profiles that read the whole factor.  An envelope's
-members read masked subsets of it, which carry only the transforms
-computed before the mask was taken (``Factor.__getitem__``), so each
-member recomputes the others (``norm_ppf``, ``log``) on its own subset.
+exact table sampler of ``_beta``, one table per beta shape, built before
+the chunks start so that worker threads only read it; a pooled group sums
+its draws per scenario a round at a time (``BetaTable.sums``).  Every
+evaluated conditional default probability comes from the profile's one
+clipped and checked call (``_pd_at``), so a NaN raises ValueError on every
+path.  It reads one shared ``Factor`` per chunk (per quadrature batch on
+the exact path, and one per process for the cell edges), so each factor
+transform runs once per chunk for the profiles that read the whole
+factor.  An envelope's members read masked subsets of it, which carry
+only the transforms computed before the mask was taken
+(``Factor.__getitem__``), so each member recomputes the others
+(``norm_ppf``, ``log``) on its own subset.
 
 The exact path integrates the product of the groups' conditional binomial
 pmfs over the factor.  It splits the pooled groups into a prefix A and a
@@ -58,7 +59,7 @@ import numpy as np
 
 from ._normal import _legendre_rule
 from .copulas import Factor
-from .portfolio import BetaLgd, DeterministicLgd
+from .portfolio import DeterministicLgd
 from .profiles import _PD_CELLS, ComonotoneProfile, IndependentProfile, _cell
 
 __all__ = [
@@ -179,12 +180,11 @@ def _stratified(rng, m: int) -> np.ndarray:
 
 
 def _lgd_total(rng, lgd, counts: np.ndarray) -> np.ndarray:
-    """Sum of iid LGD draws per scenario, given default counts; ``lgd`` is
-    a ``DeterministicLgd`` or has ``sums(rng, counts)`` (a beta LGD or its
-    sampling table), which sums them without holding them all."""
+    """Sum of iid LGD draws per scenario, given default counts; a beta
+    LGD's table sums them without holding them all."""
     if isinstance(lgd, DeterministicLgd):
         return lgd.value * counts
-    return lgd.sums(rng, counts)
+    return lgd.table.sums(rng, counts)
 
 
 def _decide(rng, bounds: tuple, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -300,13 +300,11 @@ def simulate_losses(
     scales = [g.weight * g.lgd.value if b else g.weight for g, b in zip(groups, bits)]
     # the profiles whose band draws wait for the end of the run, by group index
     deferring = {i: g.profile for i, (g, b) in enumerate(zip(groups, bits)) if b and cell_bounds[i]}
-    # one beta sampling table per shape, built before the chunks so that the
-    # workers only read it
-    tables = {}
+    # the beta LGDs' sampling tables, built before the chunks so that the
+    # workers only read them
     for g in groups:
-        if isinstance(g.lgd, BetaLgd) and g.lgd.shape not in tables:
-            tables[g.lgd.shape] = g.lgd.table
-    lgds = [tables[g.lgd.shape] if isinstance(g.lgd, BetaLgd) else g.lgd for g in groups]
+        if not isinstance(g.lgd, DeterministicLgd):
+            _ = g.lgd.table
 
     def chunk(rng, loss):
         m = loss.size
@@ -314,7 +312,7 @@ def simulate_losses(
         cell = _cell(f.t, _PD_CELLS) if n_bounded else None
         n_eval = 0
         values, bands = [], []  # per group, and (band, t, u) per deferring group
-        for grp, lgd, bounds, scale, bit in zip(groups, lgds, cell_bounds, scales, bits):
+        for grp, bounds, scale, bit in zip(groups, cell_bounds, scales, bits):
             p = grp.profile
             if isinstance(p, ComonotoneProfile):
                 counts = grp.n * (f.t >= 1.0 - p.pd).astype(np.int64)
@@ -329,7 +327,7 @@ def simulate_losses(
                 counts = rng.random(m) < p.pd
             else:
                 counts = rng.binomial(grp.n, p._pd_at(f))
-            v = counts if bit else _lgd_total(rng, lgd, counts)
+            v = counts if bit else _lgd_total(rng, grp.lgd, counts)
             loss += scale * v
             if deferring:
                 values.append(v)

@@ -9,7 +9,7 @@ from scipy import stats
 
 from creditbounds import _beta
 from creditbounds._beta import _INTERIOR, _LEFT, BetaTable
-from creditbounds.portfolio import BetaLgd, Borrower, DeterministicLgd, beta_params
+from creditbounds.portfolio import BetaLgd, Borrower, DeterministicLgd, _beta_table, beta_params
 from creditbounds.profiles import IndependentProfile
 from creditbounds.simulate import simulate_losses
 
@@ -97,6 +97,27 @@ def test_sums_add_up_the_draws_of_one_call(a, b):
     assert np.all(total[counts == 0] == 0.0)
 
 
+@pytest.mark.parametrize("empty", [0, 1], ids=["first-round", "later-round"])
+def test_a_round_that_accepts_nothing_is_skipped(monkeypatch, empty):
+    table = BetaTable(0.3, 2.7)
+    # a pooled call over at least two rounds
+    counts = np.array([0, 3, _beta._BLOCK + 1000, 2, 0, 5, 1])
+    size = int(counts.sum())
+    reference = table.sums(_rng(4), counts), table.draw(_rng(4), size)
+    real, rounds = BetaTable._candidates, []
+
+    def one_empty_round(self, rng, m, out):
+        rounds.append(m)
+        # the empty round draws nothing, so the others see the same stream
+        return 0 if len(rounds) == empty + 1 else real(self, rng, m, out)
+
+    monkeypatch.setattr(BetaTable, "_candidates", one_empty_round)
+    assert np.array_equal(table.sums(_rng(4), counts), reference[0])
+    rounds.clear()
+    assert np.array_equal(table.draw(_rng(4), size), reference[1])
+    assert len(rounds) >= 3
+
+
 def test_singular_end_pieces_take_power_law_proposals():
     table = BetaTable(0.3, 2.7)
     assert table.kind[0] == _LEFT and table.power[0] == pytest.approx(1.0 / 0.3)
@@ -122,6 +143,8 @@ def test_one_simulation_builds_one_table_per_shape(monkeypatch, workers):
             super().__init__(a, b)
 
     monkeypatch.setattr(_beta, "BetaTable", Counting)
+    # tables are kept per shape for the process: start from none
+    _beta_table.cache_clear()
     # equal LGDs as distinct objects, in groups of distinct exposure
     lgds = [BetaLgd(0.1, 0.15), BetaLgd(0.1, 0.15), BetaLgd(0.45, 0.2), DeterministicLgd(0.4),
             BetaLgd(0.1, 0.15)]
@@ -131,4 +154,8 @@ def test_one_simulation_builds_one_table_per_shape(monkeypatch, workers):
     profiles = [IndependentProfile(0.3)] * len(borrowers)
     sample = simulate_losses(profiles, borrowers, 100_000, seed=3, workers=workers)
     assert sorted(built) == sorted([beta_params(0.1, 0.15), beta_params(0.45, 0.2)])
+    # a second simulation reuses them
+    simulate_losses(profiles, borrowers, 1_000, seed=4, workers=workers)
+    assert len(built) == 2
+    _beta_table.cache_clear()
     assert sample.mean() == pytest.approx(0.3 * sum(w * lgd.mean for w, lgd in zip(weights, lgds)), rel=0.02)
