@@ -399,12 +399,10 @@ class BetaTable:
             piece = self.slot_piece[slot[cap]]
             x[cap] = x_cap = self._place(piece, rng.random(cap.size))
             keep[cap] = w[cap] < np.exp(self._log_ratio(piece, x_cap))
-        accepted = int(np.count_nonzero(keep))
-        if accepted > out.size:  # the last round: keep the first draws
-            stop = int(keep.nonzero()[0][out.size - 1]) + 1
-            keep, x, accepted = keep[:stop], x[:stop], out.size
-        out[:accepted] = x[keep]
-        return accepted
+        # the last round keeps the first draws
+        x = x[keep][:out.size]
+        out[:x.size] = x
+        return x.size
 
     def _place(self, piece, v) -> np.ndarray:
         """Points at fraction v of the pieces' proposals: uniform inside an
