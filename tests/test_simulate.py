@@ -94,7 +94,9 @@ def _all_evaluated(profiles, borrowers, samples, seed):
                 counts = rng.binomial(grp.n, np.clip(p._cpd(f), 0.0, 1.0))
             loss += grp.weight * _lgd_total(rng, grp.lgd, counts)
 
-    return _run_chunks(samples, seed, 0, 1, chunk)[0]
+    out = np.zeros(samples)
+    _run_chunks(out, seed, 0, 1, chunk)
+    return out
 
 
 def _assert_matches_all_evaluated(profiles, borrowers, samples, seed):
