@@ -52,10 +52,9 @@ from .profiles import (
     validate_profile,
 )
 from .risk import (
-    BenchmarkRow,
-    BoundRow,
     ResultInvariantError,
     RiskReport,
+    RunResult,
     avar,
     bound_profiles,
     check_cx_dominance,

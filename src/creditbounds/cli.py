@@ -18,6 +18,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -48,21 +49,12 @@ def _add_common(parser: argparse.ArgumentParser, needs_out: bool) -> None:
 def _resolve_scenario(args) -> Scenario:
     scenario = load_scenario(args.scenario)
     mc = scenario.mc
-    workers = args.workers
-    if workers is None and os.environ.get("CREDITBOUNDS_WORKERS"):
-        try:
-            workers = int(os.environ["CREDITBOUNDS_WORKERS"])
-        except ValueError:
-            raise ConfigError(
-                f"CREDITBOUNDS_WORKERS must be an integer, got "
-                f"{os.environ['CREDITBOUNDS_WORKERS']!r}"
-            ) from None
     try:
         mc = dataclasses.replace(
             mc,
             samples=args.samples if args.samples is not None else mc.samples,
             seed=args.seed if args.seed is not None else mc.seed,
-            workers=workers if workers is not None else mc.workers,
+            workers=args.workers if args.workers is not None else mc.workers,
         )
     except ValueError as exc:
         raise ConfigError(f"mc override: {exc}") from None
@@ -110,7 +102,10 @@ def _write_meta(out_dir: Path, scenario: Scenario, wall_time: float, extra: dict
     }
     meta.update(settings)
     meta.update(extra)
-    (out_dir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    # strict JSON: callers give a value that is not a finite number as None
+    # (null), and a NaN or infinity left over raises here
+    text = json.dumps(meta, indent=2, allow_nan=False)
+    (out_dir / "meta.json").write_text(text + "\n", encoding="utf-8")
 
 
 @contextlib.contextmanager
@@ -131,6 +126,10 @@ def _recorded_warnings():
         fired.extend({"category": c, "message": m, "count": n} for (c, m), n in counts.items())
 
 
+def _finite(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 def cmd_bounds(args) -> int:
     out_dir = Path(args.out)
     with _recorded_warnings() as fired:
@@ -141,14 +140,18 @@ def cmd_bounds(args) -> int:
         wall = time.perf_counter() - start
     (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
-    ses = {
-        f"{r.model}@{r.alpha}": {"se_lower": r.se_lower, "se_upper": r.se_upper}
-        for r in report.rows
-    }
+    ses = {}
+    for model in report.models:
+        _, lower, upper, _ = report.chain(model)
+        for alpha, se_lower, se_upper in zip(report.alphas, lower.se, upper.se):
+            ses[f"{model}@{alpha}"] = {"se_lower": _finite(se_lower), "se_upper": _finite(se_upper)}
+    pooling = [{"run": r.name, "groups": r.groups, "singleton_groups": r.singleton_groups,
+                "exact_pd_share": r.exact_pd_share} for r in report.runs]
+    times = [{"run": r.name, "simulate_s": r.simulate_s, "avar_s": r.avar_s} for r in report.runs]
     _write_meta(
         out_dir, scenario, wall,
         {"standard_errors": ses, "chain_margins": report.chain_margins(),
-         "pooled_groups": report.pooling, "run_times": report.run_times, "warnings": fired},
+         "pooled_groups": pooling, "run_times": times, "warnings": fired},
     )
     sys.stdout.write(report.to_text())
     return 0

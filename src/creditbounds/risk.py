@@ -11,20 +11,23 @@ the worst ceil((1 - alpha) n) + 1 draws at the lowest requested level,
 sorts only those, and reads every level's tail as a slice of them; exact
 (weighted) and pre-sorted samples use the whole sorted support.
 
-``risk_report`` runs a scenario end to end: per-borrower profile bounds
-for each requested model family, a lower- and an upper-bound simulation
-per family plus the shared independence/comonotone benchmarks, AVaR at
-every level with batch-means standard errors (one sorted tail per sample
-and per batch), and a validity check of the ordering chain.  Each run is
-reduced to those numbers as soon as it ends, so a report holds one loss
-sample at a time.
-Every simulation draws from the scenario seed and its own run id
-(``model_runs``, shared with the oracle), so no two runs share a stream.
+``risk_report`` runs a scenario end to end, one loop over one plan: the
+independence and comonotone benchmarks as runs 0 and 1, then a lower- and
+an upper-bound simulation per requested model family (``model_runs``,
+shared with the oracle; a degenerate family has no upper run), all through
+``simulate_losses``.  Each run is reduced as soon as it ends to one
+``RunResult``: AVaR at every level with batch-means standard errors (one
+sorted tail per sample and per batch), its pooling and its timings, so a
+report holds one loss sample at a time.  Everything the report writes and
+checks, the ordering chain included, reads those records.
+Every simulation draws from the scenario seed and its own run id, so no
+two runs share a stream.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import time
 import warnings
@@ -34,15 +37,12 @@ from io import StringIO
 import numpy as np
 
 from .portfolio import Scenario
-from .profiles import MODELS, model_spec
-from .simulate import (
-    _N_BATCHES,
-    LossSample,
-    batch_standard_error,
-    simulate_comonotone,
-    simulate_independent,
-    simulate_losses,
-)
+from .profiles import MODELS, ComonotoneProfile, IndependentProfile, model_spec
+from .simulate import _N_BATCHES, LossSample, batch_standard_error, simulate_losses
+
+# not called here: perfbench's span tracer (perfbench/spans.py) looks both
+# names up on this module
+from .simulate import simulate_comonotone, simulate_independent  # noqa: F401
 
 __all__ = [
     "ResultInvariantError",
@@ -52,8 +52,7 @@ __all__ = [
     "check_cx_dominance",
     "bound_profiles",
     "risk_report",
-    "BoundRow",
-    "BenchmarkRow",
+    "RunResult",
     "RiskReport",
     "model_runs",
 ]
@@ -213,27 +212,22 @@ def model_runs(scenario: Scenario):
             yield model, "upper", 3 + 2 * k, uppers
 
 
-@dataclass(frozen=True)
-class BoundRow:
-    """AVaR bounds of one model family at one confidence level."""
-
-    model: str
-    alpha: float
-    avar_lower: float
-    avar_upper: float
-    se_lower: float
-    se_upper: float
+_CHAIN = ("independent", "lower", "upper", "comonotone")
 
 
 @dataclass(frozen=True)
-class BenchmarkRow:
-    """Independence/comonotone benchmark AVaR at one confidence level."""
+class RunResult:
+    """One simulation of a report: its AVaR and batch standard error per
+    level, in the report's alpha order, its pooling and its timings."""
 
-    alpha: float
-    avar_indep: float
-    avar_comon: float
-    se_indep: float
-    se_comon: float
+    name: str  # "independent", "comonotone" or "<model> <side>"
+    avar: tuple
+    se: tuple
+    groups: int
+    singleton_groups: int
+    exact_pd_share: float | None
+    simulate_s: float
+    avar_s: float
 
 
 @dataclass(frozen=True)
@@ -243,51 +237,38 @@ class RiskReport:
     scenario_label: str
     models: tuple
     alphas: tuple
-    rows: tuple  # BoundRow, ordered by (model, alpha)
-    benchmarks: tuple  # BenchmarkRow, ordered by alpha
+    runs: tuple  # RunResult per simulation, in run order
     samples: int
     seed: int
-    # one {"run", "groups", "singleton_groups", "exact_pd_share"} dict per
-    # simulation run, in run order, as meta.json's "pooled_groups" lists them
-    pooling: tuple = ()
-    # one {"run", "simulate_s", "avar_s"} dict per simulation run, in run
-    # order: the seconds of its simulation and of its AVaR with batch SEs
-    run_times: tuple = ()
 
-    def row(self, model: str, alpha: float) -> BoundRow:
-        for r in self.rows:
-            if (r.model, r.alpha) == (model, alpha):
-                return r
-        raise KeyError((model, alpha))
-
-    def benchmark(self, alpha: float) -> BenchmarkRow:
-        for r in self.benchmarks:
-            if r.alpha == alpha:
-                return r
-        raise KeyError(alpha)
+    def chain(self, model: str) -> tuple:
+        """The records of a model's ordering chain: independent, lower, upper,
+        comonotone.  A degenerate family's upper side reads its lower run."""
+        runs = {r.name: r for r in self.runs}
+        lower = runs[f"{model} lower"]
+        return runs["independent"], lower, runs.get(f"{model} upper", lower), runs["comonotone"]
 
     def chain_links(self):
-        """(model, alpha, a, b) per ordering-chain link a <= b, in row order;
-        a and b are (name, AVaR, SE)."""
-        for r in self.rows:
-            bench = self.benchmark(r.alpha)
-            chain = [
-                ("independent", bench.avar_indep, bench.se_indep),
-                ("lower", r.avar_lower, r.se_lower),
-                ("upper", r.avar_upper, r.se_upper),
-                ("comonotone", bench.avar_comon, bench.se_comon),
-            ]
-            for a, b in zip(chain, chain[1:]):
-                yield r.model, r.alpha, a, b
+        """(model, alpha, a, b, se) per ordering-chain link a <= b, by model
+        and then alpha; a and b are (name, AVaR) and se is their pooled
+        standard error."""
+        for model in self.models:
+            chain = self.chain(model)
+            for i, alpha in enumerate(self.alphas):
+                for (name_a, a), (name_b, b) in itertools.pairwise(zip(_CHAIN, chain)):
+                    se = math.hypot(a.se[i], b.se[i])
+                    yield model, alpha, (name_a, a.avar[i]), (name_b, b.avar[i]), se
 
     def chain_margins(self) -> list:
         """One {model, alpha, link, margin_se} per chain link a <= b: AVaR_b -
-        AVaR_a in pooled standard errors, None where both are 0."""
-        return [
-            {"model": model, "alpha": alpha, "link": f"{name_a}<={name_b}",
-             "margin_se": (val_b - val_a) / math.hypot(se_a, se_b) if se_a or se_b else None}
-            for model, alpha, (name_a, val_a, se_a), (name_b, val_b, se_b) in self.chain_links()
-        ]
+        AVaR_a in pooled standard errors, None where that is not a finite
+        number (both standard errors 0, or none for want of samples)."""
+        margins = []
+        for model, alpha, (name_a, val_a), (name_b, val_b), se in self.chain_links():
+            margin = (val_b - val_a) / se if se else math.nan
+            margins.append({"model": model, "alpha": alpha, "link": f"{name_a}<={name_b}",
+                            "margin_se": margin if math.isfinite(margin) else None})
+        return margins
 
     def to_csv(self) -> str:
         out = StringIO()
@@ -296,11 +277,12 @@ class RiskReport:
             ["scenario", "model", "alpha", "avar_lower", "avar_upper", "avar_indep",
              "avar_comon", "se_lower", "se_upper", "se_indep", "se_comon"]
         )
-        for r in self.rows:
-            bench = self.benchmark(r.alpha)
-            values = (r.alpha, r.avar_lower, r.avar_upper, bench.avar_indep, bench.avar_comon,
-                      r.se_lower, r.se_upper, bench.se_indep, bench.se_comon)
-            writer.writerow([self.scenario_label, r.model, *map(repr, values)])
+        for model in self.models:
+            indep, lower, upper, comon = self.chain(model)
+            for i, alpha in enumerate(self.alphas):
+                values = (alpha, lower.avar[i], upper.avar[i], indep.avar[i], comon.avar[i],
+                          lower.se[i], upper.se[i], indep.se[i], comon.se[i])
+                writer.writerow([self.scenario_label, model, *map(repr, values)])
         return out.getvalue()
 
     def to_text(self) -> str:
@@ -320,25 +302,25 @@ class RiskReport:
         header1 += f"{'':>22}"
         header2 += f"{'indep':>11}{'comon':>11}"
         out.write(header1 + "\n" + header2 + "\n")
-        for alpha in self.alphas:
+        chains = [self.chain(m) for m in self.models]
+        indep, _, _, comon = chains[0]
+        for i, alpha in enumerate(self.alphas):
             line = f"{100 * alpha:>7.0f}%"
-            for m in self.models:
-                r = self.row(m, alpha)
-                line += f"{pct(r.avar_lower):>11}{pct(r.avar_upper):>11}"
-            bench = self.benchmark(alpha)
-            line += f"{pct(bench.avar_indep):>11}{pct(bench.avar_comon):>11}"
+            for _, lower, upper, _ in chains:
+                line += f"{pct(lower.avar[i]):>11}{pct(upper.avar[i]):>11}"
+            line += f"{pct(indep.avar[i]):>11}{pct(comon.avar[i]):>11}"
             out.write(line + "\n")
         return out.getvalue()
 
 
-def _avar_with_se(sample: LossSample, alphas) -> tuple[list, list]:
+def _avar_with_se(sample: LossSample, alphas) -> tuple[tuple, tuple]:
     """AVaR per level and its batch standard errors, from one sorted tail per
     sample and batch, reordering the draws of the sample, which is the
     caller's to give up: each batch is partitioned in place first, moving
     draws only inside it, and then the whole sample, so no copy of it is made."""
     se = batch_standard_error(sample, lambda s: avar(s, alphas, in_place=True))
     values = avar(sample, alphas, in_place=True)
-    return values.tolist(), np.broadcast_to(se, values.shape).tolist()
+    return tuple(values.tolist()), tuple(np.broadcast_to(se, values.shape).tolist())
 
 
 def _tail_draws_per_batch(samples: int, alpha: float) -> int:
@@ -360,8 +342,8 @@ def _warn_thin_tails(samples: int, alphas) -> None:
 
 
 def _check_chain(report: RiskReport) -> None:
-    for model, alpha, (name_a, val_a, se_a), (name_b, val_b, se_b) in report.chain_links():
-        slack = _SLACK_SE * math.hypot(se_a, se_b) + 1e-15
+    for model, alpha, (name_a, val_a), (name_b, val_b), se in report.chain_links():
+        slack = _SLACK_SE * se + 1e-15
         if math.isnan(slack):  # fewer samples than batches: no standard error, no slack bound
             slack = math.inf
         # written so that a NaN AVaR fails too
@@ -374,59 +356,44 @@ def _check_chain(report: RiskReport) -> None:
             )
 
 
-def risk_report(scenario: Scenario) -> RiskReport:
-    """Simulate a scenario and assemble its AVaR bound report.
-
-    Each run is reduced to its pooling, AVaR and standard errors as soon as
-    it ends, and its sample is dropped before the next run draws."""
-    borrowers = scenario.borrowers
+def _run_result(scenario: Scenario, name: str, run: int, profiles) -> RunResult:
+    """Simulate one run and reduce it to its record; its sample is dropped on
+    return, before the next run draws."""
     mc = scenario.mc
-    _warn_thin_tails(mc.samples, scenario.alphas)
+    start = time.perf_counter()
+    # read from the module globals when called, so that a tracer that
+    # replaces simulate_losses sees every run
+    sample = simulate_losses(profiles, scenario.borrowers, mc.samples, mc.seed, mc.workers, run)
+    simulated = time.perf_counter()
+    sizes = sample.group_sizes
+    values, ses = _avar_with_se(sample, scenario.alphas)
+    return RunResult(name, values, ses, len(sizes), sizes.count(1), sample.exact_pd_share,
+                     round(simulated - start, 3), round(time.perf_counter() - simulated, 3))
 
-    alphas = scenario.alphas
-    pooling, run_times = [], []
 
-    def summary(name: str, simulate, *args, run: int) -> tuple[list, list]:
-        start = time.perf_counter()
-        sample = simulate(*args, mc.samples, mc.seed, mc.workers, run=run)
-        simulated = time.perf_counter()
-        sizes = sample.group_sizes
-        pooling.append({"run": name, "groups": len(sizes), "singleton_groups": sizes.count(1),
-                        "exact_pd_share": sample.exact_pd_share})
-        result = _avar_with_se(sample, alphas)
-        run_times.append({"run": name, "simulate_s": round(simulated - start, 3),
-                          "avar_s": round(time.perf_counter() - simulated, 3)})
-        return result
+def _report_plan(scenario: Scenario):
+    """(name, run id, profiles) per simulation of a report, in run order: the
+    benchmarks, then the bound runs; each run's profiles are built when it
+    is reached."""
+    borrowers = scenario.borrowers
+    yield "independent", 0, [IndependentProfile(b.pd) for b in borrowers]
+    yield "comonotone", 1, [ComonotoneProfile(b.pd) for b in borrowers]
+    for model, side, run, profiles in model_runs(scenario):
+        yield f"{model} {side}", run, profiles
 
-    # the simulations are read from the module globals when called, so that
-    # a tracer that replaces them sees every run
-    ai, si = summary("independent", simulate_independent, borrowers, run=0)
-    ac, sc = summary("comonotone", simulate_comonotone, borrowers, run=1)
-    benchmarks = [BenchmarkRow(*row) for row in zip(alphas, ai, ac, si, sc)]
 
-    # (AVaR, SE) per model and side; summary drops each sample before the
-    # next run draws
-    results = {
-        (model, side): summary(f"{model} {side}", simulate_losses, profiles, borrowers, run=run)
-        for model, side, run, profiles in model_runs(scenario)
-    }
-    rows = []
-    for model in scenario.models:
-        # a degenerate family's upper side is its lower one
-        lo = results[model, "lower"]
-        (alo, slo), (aup, sup) = lo, results.get((model, "upper"), lo)
-        rows.extend(BoundRow(model, *row) for row in zip(alphas, alo, aup, slo, sup))
-
+def risk_report(scenario: Scenario) -> RiskReport:
+    """Simulate a scenario and assemble its AVaR bound report: the
+    independence and comonotone benchmarks as runs 0 and 1, then every bound
+    run of ``model_runs``, one record per run in that order."""
+    _warn_thin_tails(scenario.mc.samples, scenario.alphas)
     report = RiskReport(
         scenario_label=scenario.label,
         models=tuple(scenario.models),
         alphas=tuple(scenario.alphas),
-        rows=tuple(rows),
-        benchmarks=tuple(benchmarks),
-        samples=mc.samples,
-        seed=mc.seed,
-        pooling=tuple(pooling),
-        run_times=tuple(run_times),
+        runs=tuple(_run_result(scenario, *step) for step in _report_plan(scenario)),
+        samples=scenario.mc.samples,
+        seed=scenario.mc.seed,
     )
     _check_chain(report)
     return report

@@ -334,7 +334,11 @@ def simulate_losses(
             if deferring:
                 values.append(v)
         if deferring:
-            touched = np.unique(np.concatenate([band for band, _, _ in bands]))
+            # the distinct positions, ascending (np.unique would import numpy.ma)
+            touched = np.sort(np.concatenate([band for band, _, _ in bands]))
+            first = np.ones(touched.size, dtype=bool)
+            first[1:] = touched[1:] != touched[:-1]
+            touched = touched[first]
             if touched.size:
                 return n_eval, _Deferred(
                     loss,

@@ -160,14 +160,16 @@ def _compare_table(report, table, bench, tol_95, tol_99, clayton_99_tol=None):
             tol = base_tol
             if clayton_99_tol is not None and model == "clayton" and alpha == 0.99:
                 tol = clayton_99_tol
-            row = report.row(model, alpha)
-            for got, ref, side in ((row.avar_lower, ref_lo, "lower"), (row.avar_upper, ref_up, "upper")):
+            _, lower, upper, _ = report.chain(model)
+            i = report.alphas.index(alpha)
+            for got, ref, side in ((lower.avar[i], ref_lo, "lower"), (upper.avar[i], ref_up, "upper")):
                 dev = abs(100.0 * got - ref)
                 if dev > tol * TOL_SCALE:
                     failures.append(f"{model}@{alpha} {side}: {100 * got:.3f} vs {ref} (tol {tol})")
     for alpha, (ref_ind, ref_com), base_tol in zip((0.95, 0.99), bench, (tol_95, tol_99)):
-        b = report.benchmark(alpha)
-        for got, ref, side in ((b.avar_indep, ref_ind, "indep"), (b.avar_comon, ref_com, "comon")):
+        indep, _, _, comon = report.chain(report.models[0])
+        i = report.alphas.index(alpha)
+        for got, ref, side in ((indep.avar[i], ref_ind, "indep"), (comon.avar[i], ref_com, "comon")):
             dev = abs(100.0 * got - ref)
             if dev > base_tol * TOL_SCALE:
                 failures.append(f"benchmark@{alpha} {side}: {100 * got:.3f} vs {ref}")
@@ -278,16 +280,17 @@ def test_criterion_5_oracle_equivalence():
 def test_criterion_6_ordering_chain(reports):
     failures = []
     for name, report in reports.items():
-        for row in report.rows:
-            bench = report.benchmark(row.alpha)
-            chain = [
-                ("indep<=lower", bench.avar_indep, bench.se_indep, row.avar_lower, row.se_lower),
-                ("lower<=upper", row.avar_lower, row.se_lower, row.avar_upper, row.se_upper),
-                ("upper<=comon", row.avar_upper, row.se_upper, bench.avar_comon, bench.se_comon),
-            ]
-            for label, a, se_a, b, se_b in chain:
-                if a > b + 3.0 * math.hypot(se_a, se_b) + 1e-15:
-                    failures.append(f"{name} {row.model}@{row.alpha}: {label} broken")
+        for model in report.models:
+            indep, lower, upper, comon = report.chain(model)
+            for i, alpha in enumerate(report.alphas):
+                chain = [
+                    ("indep<=lower", indep.avar[i], indep.se[i], lower.avar[i], lower.se[i]),
+                    ("lower<=upper", lower.avar[i], lower.se[i], upper.avar[i], upper.se[i]),
+                    ("upper<=comon", upper.avar[i], upper.se[i], comon.avar[i], comon.se[i]),
+                ]
+                for label, a, se_a, b, se_b in chain:
+                    if a > b + 3.0 * math.hypot(se_a, se_b) + 1e-15:
+                        failures.append(f"{name} {model}@{alpha}: {label} broken")
     _verdict(6, "AVaR ordering chain on all fixtures", failures)
 
 

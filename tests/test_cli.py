@@ -111,6 +111,7 @@ class TestBounds:
             )
         assert code == 0
         meta = json.loads((out / "meta.json").read_text())
+        assert meta["workers"] == 1  # the flag overrides the fixture's 4
         runs = [f"{m} {side}" for m in meta["models"] for side in ("lower", "upper")]
         pooled = meta["pooled_groups"]
         # every IDB borrower differs in pd or exposure: 26 singleton groups
@@ -123,18 +124,41 @@ class TestBounds:
         assert all(0.0 < g["exact_pd_share"] < 0.05 for g in pooled[2:])
         assert "groups" not in (out / "report.csv").read_text()
 
-    def test_meta_times_every_run(self, small_scenario, tmp_path, capsys):
+    def test_meta_times_every_run(self, small_scenario, tmp_path, capsys, monkeypatch):
+        reports = []
+        monkeypatch.setattr(
+            cli, "risk_report", lambda s: reports.append(risk.risk_report(s)) or reports[-1]
+        )
         out = tmp_path / "out"
         code, _, _ = run(capsys, "bounds", "--scenario", str(small_scenario), "--out", str(out))
         assert code == 0
         meta = json.loads((out / "meta.json").read_text())
         times = meta["run_times"]
-        assert [t["run"] for t in times] == [g["run"] for g in meta["pooled_groups"]]
+        # one record per run, in run order, as meta.json lists the runs
+        assert [t["run"] for t in times] == [g["run"] for g in meta["pooled_groups"]] == [
+            r.name for r in reports[0].runs
+        ]
         assert [t["run"] for t in times[:2]] == ["independent", "comonotone"] and len(times) == 10
         for t in times:
             assert set(t) == {"run", "simulate_s", "avar_s"}
             assert t["simulate_s"] > 0.0 and t["avar_s"] >= 0.0
         assert sum(t["simulate_s"] + t["avar_s"] for t in times) <= meta["wall_time_s"] + 0.01
+
+    @pytest.mark.filterwarnings("ignore:alpha")
+    def test_meta_is_strict_json_without_standard_errors(self, fixtures_dir, tmp_path, capsys):
+        # fewer samples than standard-error batches: no SE and no margin is a number
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, "bounds", "--scenario", str(fixtures_dir / "scenario1.json"),
+                         "--out", str(out), "--samples", "10")
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"meta.json holds {token}, which is not JSON")
+
+        meta = json.loads((out / "meta.json").read_text(), parse_constant=reject)
+        ses = [se for entry in meta["standard_errors"].values() for se in entry.values()]
+        assert len(ses) == 16 and all(se is None for se in ses)
+        assert all(m["margin_se"] is None for m in meta["chain_margins"])
 
     def test_meta_gives_every_chain_link_its_margin(self, small_scenario, tmp_path, capsys):
         out = tmp_path / "out"
@@ -186,8 +210,10 @@ class TestBounds:
             capsys, "bounds", "--scenario", str(sc), "--out", str(tmp_path / "b"), "--workers", "2"
         )[0] == 0
         # the degenerate independent family has no upper run; gaussian and
-        # clayton, lower and upper, follow under the same run ids
-        assert sorted(drawn["oracle"]) == sorted(drawn["bounds"]) == [2, 4, 5, 6, 7]
+        # clayton, lower and upper, follow under the same run ids, after the
+        # benchmarks (runs 0 and 1), which only bounds draws
+        assert sorted(drawn["oracle"]) == [2, 4, 5, 6, 7]
+        assert sorted(drawn["bounds"]) == [0, 1, 2, 4, 5, 6, 7]
         for run_id, (key, seed, samples, losses) in drawn["oracle"].items():
             b_key, b_seed, b_samples, b_losses = drawn["bounds"][run_id]
             assert (key, seed, samples) == (b_key, b_seed, b_samples)
@@ -445,7 +471,8 @@ class TestOracle:
         # a fresh process: the normal CDF and quantile, the exact path's
         # binomial pmf and its quadrature rule are the package's own, for
         # pooled groups (the 8-borrower example pools into one group) and for
-        # singletons alike
+        # singletons alike; nor does any command load numpy.ma (a first
+        # np.unique call would: 1.6 MB and some 36 ms)
         rows = ["name,amount,pd,lgd_kind,lgd_mean,lgd_vol,corr_lo,corr_hi"]
         rows += [f"b{i},{2**i},0.1,deterministic,1.0,,0.15,0.25" for i in range(3)]
         (tmp_path / "p.csv").write_text("\n".join(rows) + "\n")
@@ -467,7 +494,8 @@ class TestOracle:
             "    status.append(cli.main(['curves', '--scenario', sys.argv[1],\n"
             "                            '--out', f'{sys.argv[3]}/c']))\n"
             "    status.append(cli.main(['validate', '--scenario', sys.argv[1]]))\n"
-            "print(*status, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+            "print(*status, any(m.split('.')[0] == 'scipy' for m in sys.modules),\n"
+            "      'numpy.ma' in sys.modules)\n"
         )
         src = str(Path(creditbounds.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -477,7 +505,7 @@ class TestOracle:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
             timeout=60,
         )
-        assert out.stdout.split() == ["0", "0", "0", "0", "0", "False"]
+        assert out.stdout.split() == ["0", "0", "0", "0", "0", "False", "False"]
         # three singletons with amounts 1, 2 and 4: 2^3 distinct losses
         exact = json.loads((tmp_path / "o" / "1" / "meta.json").read_text())["exact"]
         assert [row["support"] for row in exact] == [8, 8]
@@ -587,18 +615,3 @@ def test_missing_scenario_file(tmp_path, capsys):
     code, _, err = run(capsys, "validate", "--scenario", str(tmp_path / "none.json"))
     assert code == 1
     assert "not found" in err
-
-
-def test_worker_env_override(small_scenario, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CREDITBOUNDS_WORKERS", "3")
-    out = tmp_path / "env"
-    code, _, _ = run(capsys, "bounds", "--scenario", str(small_scenario), "--out", str(out))
-    assert code == 0
-    assert json.loads((out / "meta.json").read_text())["workers"] == 3
-    # explicit flag wins over the environment
-    out2 = tmp_path / "flag"
-    run(capsys, "bounds", "--scenario", str(small_scenario), "--out", str(out2), "--workers", "2")
-    assert json.loads((out2 / "meta.json").read_text())["workers"] == 2
-    monkeypatch.setenv("CREDITBOUNDS_WORKERS", "many")
-    code, _, err = run(capsys, "bounds", "--scenario", str(small_scenario), "--out", str(tmp_path / "x"))
-    assert code == 1 and "CREDITBOUNDS_WORKERS" in err

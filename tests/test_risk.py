@@ -14,10 +14,9 @@ from creditbounds import risk
 from creditbounds.portfolio import DeterministicLgd, homogeneous_portfolio, load_scenario, scenario_from_dict
 from creditbounds.profiles import gaussian_profile
 from creditbounds.risk import (
-    BenchmarkRow,
-    BoundRow,
     ResultInvariantError,
     RiskReport,
+    RunResult,
     _check_chain,
     avar,
     bound_profiles,
@@ -274,16 +273,40 @@ def test_model_runs_skip_the_upper_side_of_a_degenerate_family():
         assert [p.group_key() for p in profiles] == [p.group_key() for p in expected]
 
 
+def _one_level_report(label: str, lower: float, upper: float) -> RiskReport:
+    """A gaussian report at alpha 0.95 with zero standard errors: benchmarks
+    0.001 and 0.1, and the given bounds."""
+    runs = [("independent", 0.001), ("comonotone", 0.1),
+            ("gaussian lower", lower), ("gaussian upper", upper)]
+    return RiskReport(
+        scenario_label=label,
+        models=("gaussian",),
+        alphas=(0.95,),
+        runs=tuple(RunResult(name, (value,), (0.0,), 1, 1, None, 0.0, 0.0) for name, value in runs),
+        samples=1,
+        seed=1,
+    )
+
+
 class TestRiskReport:
     def test_chain_and_shape(self):
         report = risk_report(_tiny_scenario(("gaussian", "independent")))
-        assert len(report.rows) == 4
-        assert len(report.benchmarks) == 2
-        for row in report.rows:
-            bench = report.benchmark(row.alpha)
-            assert bench.avar_indep <= row.avar_lower + 3 * (row.se_lower + bench.se_indep) + 1e-12
-            assert row.avar_lower <= row.avar_upper + 3 * (row.se_lower + row.se_upper) + 1e-12
-            assert row.avar_upper <= bench.avar_comon + 3 * (row.se_upper + bench.se_comon) + 1e-12
+        assert [r.name for r in report.runs] == [
+            "independent", "comonotone", "gaussian lower", "gaussian upper", "independent lower"
+        ]
+        assert all(len(r.avar) == len(r.se) == 2 for r in report.runs)
+        for model in report.models:
+            indep, lower, upper, comon = report.chain(model)
+            for i in range(len(report.alphas)):
+                assert indep.avar[i] <= lower.avar[i] + 3 * (lower.se[i] + indep.se[i]) + 1e-12
+                assert lower.avar[i] <= upper.avar[i] + 3 * (lower.se[i] + upper.se[i]) + 1e-12
+                assert upper.avar[i] <= comon.avar[i] + 3 * (upper.se[i] + comon.se[i]) + 1e-12
+        # the degenerate family has no upper run: its upper columns are its lower run's
+        rows = csv.DictReader(io.StringIO(report.to_csv()))
+        degenerate = [row for row in rows if row["model"] == "independent"]
+        assert len(degenerate) == 2
+        for row in degenerate:
+            assert (row["avar_upper"], row["se_upper"]) == (row["avar_lower"], row["se_lower"])
 
     def test_one_tail_per_sample(self, monkeypatch):
         # 5 samples (the degenerate family reuses its lower one), each read
@@ -310,34 +333,18 @@ class TestRiskReport:
         labelled = dataclasses.replace(report, scenario_label="pool, scenario 1")
         rows = list(csv.DictReader(io.StringIO(labelled.to_csv())))
         assert [r["scenario"] for r in rows] == ["pool, scenario 1"] * 2
-        assert rows[1]["se_comon"] == repr(report.benchmark(0.99).se_comon)
+        assert rows[1]["se_comon"] == repr(report.chain("gaussian")[3].se[1])
         table = report.to_text()
         assert "Gaussian" in table and "indep" in table and "comon" in table
 
     def test_chain_violation_raises(self):
-        bad = RiskReport(
-            scenario_label="broken",
-            models=("gaussian",),
-            alphas=(0.95,),
-            rows=(BoundRow("gaussian", 0.95, 0.05, 0.01, 0.0, 0.0),),
-            benchmarks=(BenchmarkRow(0.95, 0.001, 0.1, 0.0, 0.0),),
-            samples=1,
-            seed=1,
-        )
+        bad = _one_level_report("broken", lower=0.05, upper=0.01)
         with pytest.raises(ResultInvariantError, match="exceeds"):
             _check_chain(bad)
 
     def test_nan_avar_breaks_the_chain(self):
         nan = float("nan")
-        report = RiskReport(
-            scenario_label="nan",
-            models=("gaussian",),
-            alphas=(0.95,),
-            rows=(BoundRow("gaussian", 0.95, nan, nan, 0.0, 0.0),),
-            benchmarks=(BenchmarkRow(0.95, 0.001, 0.1, 0.0, 0.0),),
-            samples=1,
-            seed=1,
-        )
+        report = _one_level_report("nan", lower=nan, upper=nan)
         message = r"AVaR\(independent\) = 0\.001000 is not ordered with AVaR\(lower\) = nan"
         with pytest.raises(ResultInvariantError, match=message):
             _check_chain(report)
@@ -346,7 +353,7 @@ class TestRiskReport:
     def test_nan_standard_errors_of_a_tiny_sample_pass_the_chain(self):
         # fewer samples than standard-error batches: every SE is NaN
         report = risk_report(_tiny_scenario(samples=10))
-        assert all(math.isnan(r.se_lower) for r in report.rows)
+        assert all(math.isnan(se) for r in report.runs for se in r.se)
 
     def test_thin_batch_tails_warn(self):
         with pytest.warns(UserWarning, match=r"alpha 0\.99: 1 tail draws .* --samples 20000 "):
@@ -357,8 +364,8 @@ class TestRiskReport:
 
     def test_gauss_clayton_lower_tracks_gaussian_point(self):
         report = risk_report(_tiny_scenario(("gauss_clayton",), samples=100_000))
-        row = report.row("gauss_clayton", 0.95)
-        assert row.avar_lower < row.avar_upper
+        _, lower, upper, _ = report.chain("gauss_clayton")
+        assert lower.avar[0] < upper.avar[0]
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("name", ["scenario1", "idb_scenario1"])
