@@ -37,13 +37,14 @@ from .risk import ResultInvariantError, bound_profiles, model_runs, risk_report
 from .simulate import dkw_epsilon, exact_loss_distribution, simulate_losses, sup_cdf_distance
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_out: bool) -> None:
+def _add_common(parser: argparse.ArgumentParser, needs_out: bool, mc_overrides: bool = True) -> None:
     parser.add_argument("--scenario", required=True, help="scenario JSON file")
     if needs_out:
         parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--samples", type=int, default=None, help="override MC sample count")
-    parser.add_argument("--seed", type=int, default=None, help="override MC seed")
-    parser.add_argument("--workers", type=int, default=None, help="override worker count")
+    if mc_overrides:
+        parser.add_argument("--samples", type=int, default=None, help="override MC sample count")
+        parser.add_argument("--seed", type=int, default=None, help="override MC seed")
+        parser.add_argument("--workers", type=int, default=None, help="override worker count")
 
 
 def _resolve_scenario(args) -> Scenario:
@@ -126,8 +127,12 @@ def _recorded_warnings():
         fired.extend({"category": c, "message": m, "count": n} for (c, m), n in counts.items())
 
 
-def _finite(x: float) -> float | None:
-    return x if math.isfinite(x) else None
+def _finite(x):
+    """``x``, with a float that is not a finite number as None (null), item
+    by item in a tuple."""
+    if isinstance(x, tuple):
+        return [_finite(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def cmd_bounds(args) -> int:
@@ -140,25 +145,18 @@ def cmd_bounds(args) -> int:
         wall = time.perf_counter() - start
     (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
-    ses = {}
-    for model in report.models:
-        _, lower, upper, _ = report.chain(model)
-        for alpha, se_lower, se_upper in zip(report.alphas, lower.se, upper.se):
-            ses[f"{model}@{alpha}"] = {"se_lower": _finite(se_lower), "se_upper": _finite(se_upper)}
-    pooling = [{"run": r.name, "groups": r.groups, "singleton_groups": r.singleton_groups,
-                "exact_pd_share": r.exact_pd_share} for r in report.runs]
-    times = [{"run": r.name, "simulate_s": r.simulate_s, "avar_s": r.avar_s} for r in report.runs]
+    # RunResult is the schema of a run: its fields are written as they are
+    runs = [{k: _finite(v) for k, v in dataclasses.asdict(r).items()} for r in report.runs]
     _write_meta(
         out_dir, scenario, wall,
-        {"standard_errors": ses, "chain_margins": report.chain_margins(),
-         "pooled_groups": pooling, "run_times": times, "warnings": fired},
+        {"runs": runs, "chain_margins": report.chain_margins(), "warnings": fired},
     )
     sys.stdout.write(report.to_text())
     return 0
 
 
 def cmd_curves(args) -> int:
-    scenario = _resolve_scenario(args)
+    scenario = load_scenario(args.scenario)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for model in scenario.models:
@@ -278,7 +276,7 @@ def main(argv=None) -> int:
     p_bounds.set_defaults(fn=cmd_bounds)
 
     p_curves = sub.add_parser("curves", help="export default-profile curves as CSV")
-    _add_common(p_curves, needs_out=True)
+    _add_common(p_curves, needs_out=True, mc_overrides=False)
     p_curves.set_defaults(fn=cmd_curves)
 
     p_validate = sub.add_parser("validate", help="parse and print resolved parameters")

@@ -271,7 +271,8 @@ def load_portfolio_csv(
     Correlation intervals are read from ``corr_lo``/``corr_hi`` when both
     are given and otherwise default to the regulatory interpolation with the
     supplied bounds shifted by plus/minus ``corr_shift``; a row that gives
-    only one of them is a ConfigError.
+    only one of them is a ConfigError, as is a header column outside the
+    schema or one that appears twice.
     """
     path = Path(path)
     if not path.exists():
@@ -281,6 +282,12 @@ def load_portfolio_csv(
         header = next(lines, None)
         if header is None:
             raise ConfigError(f"{path}: missing header row")
+        # a misspelt or repeated column would otherwise be dropped silently
+        for k, column in enumerate(header):
+            if column not in _CSV_COLUMNS:
+                raise ConfigError(f"{path}: unknown column {column!r}; expected one of {_CSV_COLUMNS}")
+            if column in header[:k]:
+                raise ConfigError(f"{path}: column {column!r} is given more than once")
         for required in ("name", "amount", "pd"):
             if required not in header:
                 raise ConfigError(f"{path}: missing required column {required!r}")

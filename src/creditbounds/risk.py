@@ -102,7 +102,7 @@ def avar(sample: LossSample, confidence, *, in_place: bool = False):
         # only draws of rank >= floor(alpha * n) carry weight; one more below
         # keeps a float tie at the boundary weighted as in a full sort
         firsts = [max(math.floor(a * n) - 1, 0) for a in alphas]
-        start = min(firsts)
+        start = min(firsts, default=n - 1)  # no level reads a draw
         losses = sample.losses if in_place else sample.losses.copy()
         losses.partition(start)
         x = LossSample(losses[start:]).sorted().losses

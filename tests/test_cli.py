@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -23,6 +24,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _as_json(run: risk.RunResult) -> dict:
+    """A run record as meta.json should hold it: every field by name, tuples
+    as lists, a float that is not a finite number as None."""
+    def value(v):
+        if isinstance(v, tuple):
+            return [value(x) for x in v]
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+
+    return {f.name: value(getattr(run, f.name)) for f in dataclasses.fields(run)}
+
+
+@pytest.fixture
+def reports(monkeypatch):
+    """The RiskReport of each command in the test, in call order."""
+    made = []
+    monkeypatch.setattr(cli, "risk_report", lambda s: made.append(risk.risk_report(s)) or made[-1])
+    return made
 
 
 @pytest.fixture
@@ -113,9 +133,9 @@ class TestBounds:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["workers"] == 1  # the flag overrides the fixture's 4
         runs = [f"{m} {side}" for m in meta["models"] for side in ("lower", "upper")]
-        pooled = meta["pooled_groups"]
+        pooled = meta["runs"]
         # every IDB borrower differs in pd or exposure: 26 singleton groups
-        assert [(g["run"], g["groups"], g["singleton_groups"]) for g in pooled] == [
+        assert [(g["name"], g["groups"], g["singleton_groups"]) for g in pooled] == [
             (run, 26, 26) for run in ["independent", "comonotone", *runs]
         ]
         # the benchmark runs decide no singleton by cell bounds; the model runs
@@ -124,28 +144,23 @@ class TestBounds:
         assert all(0.0 < g["exact_pd_share"] < 0.05 for g in pooled[2:])
         assert "groups" not in (out / "report.csv").read_text()
 
-    def test_meta_times_every_run(self, small_scenario, tmp_path, capsys, monkeypatch):
-        reports = []
-        monkeypatch.setattr(
-            cli, "risk_report", lambda s: reports.append(risk.risk_report(s)) or reports[-1]
-        )
+    def test_meta_times_every_run(self, small_scenario, tmp_path, capsys, reports):
         out = tmp_path / "out"
         code, _, _ = run(capsys, "bounds", "--scenario", str(small_scenario), "--out", str(out))
         assert code == 0
         meta = json.loads((out / "meta.json").read_text())
-        times = meta["run_times"]
-        # one record per run, in run order, as meta.json lists the runs
-        assert [t["run"] for t in times] == [g["run"] for g in meta["pooled_groups"]] == [
-            r.name for r in reports[0].runs
-        ]
-        assert [t["run"] for t in times[:2]] == ["independent", "comonotone"] and len(times) == 10
+        times = meta["runs"]
+        # one record per run, in run order
+        assert [t["name"] for t in times] == [r.name for r in reports[0].runs]
+        assert [t["name"] for t in times[:2]] == ["independent", "comonotone"] and len(times) == 10
         for t in times:
-            assert set(t) == {"run", "simulate_s", "avar_s"}
             assert t["simulate_s"] > 0.0 and t["avar_s"] >= 0.0
         assert sum(t["simulate_s"] + t["avar_s"] for t in times) <= meta["wall_time_s"] + 0.01
+        # meta.json writes the records as they are, field for field
+        assert times == [_as_json(r) for r in reports[0].runs]
 
     @pytest.mark.filterwarnings("ignore:alpha")
-    def test_meta_is_strict_json_without_standard_errors(self, fixtures_dir, tmp_path, capsys):
+    def test_meta_is_strict_json_without_standard_errors(self, fixtures_dir, tmp_path, capsys, reports):
         # fewer samples than standard-error batches: no SE and no margin is a number
         out = tmp_path / "out"
         code, _, _ = run(capsys, "bounds", "--scenario", str(fixtures_dir / "scenario1.json"),
@@ -156,8 +171,9 @@ class TestBounds:
             raise ValueError(f"meta.json holds {token}, which is not JSON")
 
         meta = json.loads((out / "meta.json").read_text(), parse_constant=reject)
-        ses = [se for entry in meta["standard_errors"].values() for se in entry.values()]
-        assert len(ses) == 16 and all(se is None for se in ses)
+        ses = [se for r in meta["runs"] for se in r["se"]]
+        assert len(ses) == 20 and all(se is None for se in ses)
+        assert meta["runs"] == [_as_json(r) for r in reports[0].runs]
         assert all(m["margin_se"] is None for m in meta["chain_margins"])
 
     def test_meta_gives_every_chain_link_its_margin(self, small_scenario, tmp_path, capsys):
@@ -270,6 +286,15 @@ class TestCurves:
         com = np.loadtxt(out / "curves_comonotone.csv", delimiter=",", skiprows=1,
                          usecols=(1, 2))
         assert np.allclose(com[:, 1], np.maximum(0.0, com[:, 0] - 0.98), atol=1e-12)
+
+    @pytest.mark.parametrize("flag", ["--samples", "--seed", "--workers"])
+    def test_mc_overrides_are_a_usage_error(self, small_scenario, tmp_path, capsys, flag):
+        # curves draws nothing, so it takes no Monte Carlo override
+        with pytest.raises(SystemExit) as exited:
+            main(["curves", "--scenario", str(small_scenario), "--out", str(tmp_path / "c"), flag, "10"])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {flag} 10" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -218,6 +219,22 @@ class TestCsvLoading:
         p = tmp_path / "p.csv"
         p.write_text(f"name,amount,pd,lgd_kind,lgd_mean\nA,10,0.05,deterministic,0.4\n\n{row}\n")
         with pytest.raises(ConfigError, match=message):
+            load_portfolio_csv(p)
+
+    @pytest.mark.parametrize("header, row, message", [
+        ("name,amount,pd,lgd_kind,lgd_mean,lgd_vol,corr_low,corr_high",
+         "A,10,0.05,deterministic,0.4,,0.3,0.4", "unknown column 'corr_low'; expected one of "),
+        ("name,amount,pd,lgd_kind,lgd_mean,corr_lo,corr_hi,sector",
+         "A,10,0.05,deterministic,0.4,0.3,0.4,x", "unknown column 'sector'; expected one of "),
+        ("name,amount,pd,lgd_kind,lgd_mean,name",
+         "A,10,0.05,deterministic,0.4,B", "column 'name' is given more than once$"),
+    ], ids=["misspelt-corr", "extra", "repeated"])
+    def test_header_outside_the_schema_rejected(self, tmp_path, header, row, message):
+        # loaded, a misspelt interval would give way to the default one, and
+        # a repeated name would take its last value
+        p = tmp_path / "p.csv"
+        p.write_text(f"{header}\n{row}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: {message}"):
             load_portfolio_csv(p)
 
     def test_missing_file(self, tmp_path):

@@ -101,6 +101,15 @@ class TestAvar:
         each = [batch_standard_error(sample, lambda s: avar(s, a)) for a in levels]
         assert np.array_equal(np.broadcast_to(se, len(levels)), each, equal_nan=True)
 
+    @pytest.mark.parametrize("sample", [
+        LossSample(np.array([0.3, 0.0, 0.1])),
+        LossSample(np.array([0.0, 0.1, 0.3]), is_sorted=True),
+        LossSample(np.array([0.3, 0.0, 0.1]), np.array([0.2, 0.5, 0.3])),
+    ], ids=["partitioned", "sorted", "weighted"])
+    def test_no_levels_give_an_empty_array(self, sample):
+        values = avar(sample, [])
+        assert isinstance(values, np.ndarray) and values.shape == (0,)
+
     def test_boundary_draw_keeps_its_float_weight(self):
         # alpha * n rounds up to 5, yet cum = fl(5/6) exceeds alpha by one ulp,
         # so the draw of rank 4 still carries weight
