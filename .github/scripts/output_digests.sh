@@ -15,6 +15,12 @@ for f in scenario1 scenario2 idb_scenario1 idb_scenario2; do
   cb bounds --scenario "$fixtures/$f.json" --out "$out/bounds-$f" --samples 50001
   cb curves --scenario "$fixtures/$f.json" --out "$out/curves-$f"
 done
+# 700,001 samples cut each batch into two chunks of unequal size, so each
+# run's tail merges the largest draws of several chunks, and on IDB those of
+# chunks whose band draws settle after the last chunk
+for f in scenario1 idb_scenario1; do
+  cb bounds --scenario "$fixtures/$f.json" --out "$out/bounds-$f-700001" --samples 700001
+done
 cb oracle --scenario "$fixtures/oracle_example.json" --out "$out/oracle-oracle_example"
 cb oracle --scenario "$fixtures/scenario1.json" --out "$out/oracle-scenario1" --samples 20001
 

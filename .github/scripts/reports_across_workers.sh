@@ -40,14 +40,19 @@ PY
 }
 
 # chunks are laid out by the sample count alone; 50,001 samples leave
-# batches of unequal size, and the reports must still match byte for byte
-for f in scenario1 scenario2 idb_scenario1 idb_scenario2; do
+# batches of unequal size, and the reports must still match byte for byte;
+# 700,001 samples cut each batch into two chunks of unequal size, whose
+# largest draws each run's tail merges (on IDB after settling band draws)
+for run in scenario1:50001 scenario2:50001 idb_scenario1:50001 idb_scenario2:50001 \
+    scenario1:700001 idb_scenario1:700001; do
+  f=${run%:*}
+  n=${run#*:}
   for w in 1 3; do
     creditbounds bounds --scenario "$fixtures/$f.json" \
-      --out "$out/$f-w$w" --samples 50001 --workers $w > /dev/null
+      --out "$out/$f-$n-w$w" --samples "$n" --workers $w > /dev/null
   done
-  cmp "$out/$f-w1/report.csv" "$out/$f-w3/report.csv"
-  same_meta "$out/$f-w1" "$out/$f-w3"
+  cmp "$out/$f-$n-w1/report.csv" "$out/$f-$n-w3/report.csv"
+  same_meta "$out/$f-$n-w1" "$out/$f-$n-w3"
 done
 
 # the oracle's Monte Carlo samples settle their singletons' band draws after

@@ -277,7 +277,8 @@ def load_portfolio_csv(
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"portfolio file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet programs write
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         lines = csv.reader(fh)
         header = next(lines, None)
         if header is None:

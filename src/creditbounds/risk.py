@@ -9,16 +9,20 @@ that tail, and the tail of a higher level is part of the tail of a lower
 one, so on an equally weighted Monte Carlo sample ``avar`` partitions out
 the worst ceil((1 - alpha) n) + 1 draws at the lowest requested level,
 sorts only those, and reads every level's tail as a slice of them; exact
-(weighted) and pre-sorted samples use the whole sorted support.
+(weighted) and pre-sorted samples use the whole sorted support.  A tail
+(``LossSample``), which holds only those worst draws of its sample and of
+each batch, gives the same values by the same arithmetic.
 
 ``risk_report`` runs a scenario end to end, one loop over one plan: the
 independence and comonotone benchmarks as runs 0 and 1, then a lower- and
 an upper-bound simulation per requested model family (``model_runs``,
 shared with the oracle; a degenerate family has no upper run), all through
-``simulate_losses``.  Each run is reduced as soon as it ends to one
-``RunResult``: AVaR at every level with batch-means standard errors (one
-sorted tail per sample and per batch), its pooling and its timings, so a
-report holds one loss sample at a time.  Everything the report writes and
+``simulate_losses``.  Each run keeps only the tail its lowest level reads
+(``simulate_losses(..., tail=...)``), and is reduced as soon as it ends to
+one ``RunResult``: AVaR at every level with batch-means standard errors
+(one sorted tail per sample and per batch, each read from the kept draws),
+how many draws it kept, its pooling and its timings, so a report never
+holds a loss sample.  Everything the report writes and
 checks, the ordering chain included, reads those records.
 Every simulation draws from the scenario seed and its own run id, so no
 two runs share a stream.
@@ -38,7 +42,7 @@ import numpy as np
 
 from .portfolio import Scenario
 from .profiles import MODELS, ComonotoneProfile, IndependentProfile, model_spec
-from .simulate import _N_BATCHES, LossSample, batch_standard_error, simulate_losses
+from .simulate import _N_BATCHES, LossSample, _tail_start, batch_standard_error, simulate_losses
 
 # not called here: perfbench's span tracer (perfbench/spans.py) looks both
 # names up on this module
@@ -88,8 +92,10 @@ def avar(sample: LossSample, confidence, *, in_place: bool = False):
     ``confidence`` is one level, giving a float, or a sequence of levels,
     giving an array in the same order.  All levels read one sorted tail:
     each sums the same draws in the same order as a call at that level alone.
-    An equally weighted sample's draws are partitioned in a copy, or with
-    ``in_place`` in the sample itself, which only reorders them.
+    An equally weighted sample's draws are partitioned and its tail sorted
+    in a copy, or with ``in_place`` in the sample itself, which only
+    reorders them.  A tail answers only levels whose draws it kept, and
+    raises ValueError for a lower one.
     """
     levels = np.asarray(confidence, dtype=float)
     if not np.all((levels > 0.0) & (levels < 1.0)):
@@ -99,24 +105,36 @@ def avar(sample: LossSample, confidence, *, in_place: bool = False):
     alphas = [float(a) for a in levels.flat]
     n = sample.size
     if sample.weights is None and not sample.is_sorted:
-        # only draws of rank >= floor(alpha * n) carry weight; one more below
-        # keeps a float tie at the boundary weighted as in a full sort
-        firsts = [max(math.floor(a * n) - 1, 0) for a in alphas]
+        firsts = [_tail_start(n, a) for a in alphas]
         start = min(firsts, default=n - 1)  # no level reads a draw
+        # a tail holds the draws of rank >= dropped
+        dropped = n - sample.losses.size
+        if start < dropped:
+            raise ValueError(f"the tail of {n} draws kept too few for confidence {confidence}")
         losses = sample.losses if in_place else sample.losses.copy()
-        losses.partition(start)
-        x = LossSample(losses[start:]).sorted().losses
-        cum, prev, total = np.arange(start + 1, n + 1) / n, np.arange(start, n) / n, 1.0
+        losses.partition(start - dropped)
+        x = LossSample(losses[start - dropped:]).sorted(in_place=True).losses
+        # the weights below each draw from rank start on, and below the next
+        steps = np.arange(start, n + 1, dtype=float)
+        steps /= n
+        total = 1.0
     else:
         x, cum, total = _sorted_with_cum(sample)
-        prev = np.concatenate([[0.0], cum[:-1]])
+        steps = np.concatenate([[0.0], cum])
         firsts, start = [0] * len(alphas), 0
-    # level i reads the draws from rank firsts[i] on; x starts at rank start
+    prev, cum = steps[:-1], steps[1:]
+    # level i reads the draws from rank firsts[i] on; x starts at rank start.
+    # One buffer holds each level's weighted draws, in place
+    buf = np.empty(x.size)
     values = []
     for alpha, first in zip(alphas, firsts):
         k, q = first - start, alpha * total
-        overlap = np.clip(cum[k:] - np.maximum(prev[k:], q), 0.0, None)
-        values.append(float((x[k:] * overlap).sum() / (total - q)))
+        w = buf[:x.size - k]
+        np.maximum(prev[k:], q, out=w)
+        np.subtract(cum[k:], w, out=w)
+        np.clip(w, 0.0, None, out=w)
+        w *= x[k:]
+        values.append(float(w.sum() / (total - q)))
     return values[0] if levels.ndim == 0 else np.array(values)
 
 
@@ -226,6 +244,8 @@ class RunResult:
     groups: int
     singleton_groups: int
     exact_pd_share: float | None
+    # the draws the run kept for its AVaR: its samples where it kept them all
+    kept_draws: int
     simulate_s: float
     avar_s: float
 
@@ -363,12 +383,15 @@ def _run_result(scenario: Scenario, name: str, run: int, profiles) -> RunResult:
     start = time.perf_counter()
     # read from the module globals when called, so that a tracer that
     # replaces simulate_losses sees every run
-    sample = simulate_losses(profiles, scenario.borrowers, mc.samples, mc.seed, mc.workers, run)
+    sample = simulate_losses(
+        profiles, scenario.borrowers, mc.samples, mc.seed, mc.workers, run, tail=min(scenario.alphas)
+    )
     simulated = time.perf_counter()
     sizes = sample.group_sizes
     values, ses = _avar_with_se(sample, scenario.alphas)
     return RunResult(name, values, ses, len(sizes), sizes.count(1), sample.exact_pd_share,
-                     round(simulated - start, 3), round(time.perf_counter() - simulated, 3))
+                     sample.losses.size, round(simulated - start, 3),
+                     round(time.perf_counter() - simulated, 3))
 
 
 def _report_plan(scenario: Scenario):

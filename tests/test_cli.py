@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import creditbounds
-from creditbounds import cli, risk
+from creditbounds import cli, risk, simulate
 from creditbounds.cli import _config_hash, main
 from creditbounds.portfolio import load_scenario, scenario_from_dict
 from creditbounds.profiles import MODELS
@@ -210,8 +210,8 @@ class TestBounds:
         def recording(module, command):
             real = module.simulate_losses
 
-            def simulate(profiles, portfolio, samples, seed, workers=1, run=0):
-                sample = real(profiles, portfolio, samples, seed, workers, run)
+            def simulate(profiles, portfolio, samples, seed, workers=1, run=0, tail=None):
+                sample = real(profiles, portfolio, samples, seed, workers, run, tail)
                 key = tuple(p.group_key() for p in profiles)
                 # a copy: the report reorders the draws of a sample it summarises
                 drawn.setdefault(command, {})[run] = (key, seed, samples, sample.losses.copy())
@@ -230,10 +230,17 @@ class TestBounds:
         # benchmarks (runs 0 and 1), which only bounds draws
         assert sorted(drawn["oracle"]) == [2, 4, 5, 6, 7]
         assert sorted(drawn["bounds"]) == [0, 1, 2, 4, 5, 6, 7]
+        # oracle draws each sample whole; bounds keeps the largest draws of
+        # each chunk of it, in chunk order
+        chunks = simulate._chunk_bounds(20_000)
         for run_id, (key, seed, samples, losses) in drawn["oracle"].items():
             b_key, b_seed, b_samples, b_losses = drawn["bounds"][run_id]
             assert (key, seed, samples) == (b_key, b_seed, b_samples)
-            assert np.array_equal(losses, b_losses)
+            tops = [np.sort(losses[lo:hi])[-simulate._keep(hi - lo, 0.95):] for lo, hi in chunks]
+            assert b_losses.size == sum(t.size for t in tops) < samples / 4
+            at = np.cumsum([0] + [t.size for t in tops])
+            for top, a, b in zip(tops, at[:-1], at[1:]):
+                assert np.array_equal(np.sort(b_losses[a:b]), top)
 
     def test_invalid_samples_exit_one(self, fixtures_dir, tmp_path, capsys):
         doc = json.loads((fixtures_dir / "scenario1.json").read_text())

@@ -154,6 +154,15 @@ class TestCsvLoading:
         assert b.corr_interval == (0.1, 0.3)
         assert b.lgd == DeterministicLgd(0.4)
 
+    def test_byte_order_mark_is_not_part_of_the_first_column(self, tmp_path):
+        # spreadsheet programs save "CSV UTF-8" with a byte-order mark
+        text = "name,amount,pd,lgd_kind,lgd_mean,lgd_vol,corr_lo,corr_hi\nA,10,0.05,deterministic,0.4,,0.1,0.3\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_portfolio_csv(marked) == load_portfolio_csv(plain)
+
     def test_diagnostics_name_row_and_column(self, tmp_path):
         p = tmp_path / "p.csv"
         p.write_text("name,amount,pd,lgd_kind,lgd_mean\nA,ten,0.05,deterministic,0.4\n")

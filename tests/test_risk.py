@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creditbounds import risk
+from creditbounds import risk, simulate
 from creditbounds.portfolio import DeterministicLgd, homogeneous_portfolio, load_scenario, scenario_from_dict
 from creditbounds.profiles import gaussian_profile
 from creditbounds.risk import (
@@ -291,7 +291,7 @@ def _one_level_report(label: str, lower: float, upper: float) -> RiskReport:
         scenario_label=label,
         models=("gaussian",),
         alphas=(0.95,),
-        runs=tuple(RunResult(name, (value,), (0.0,), 1, 1, None, 0.0, 0.0) for name, value in runs),
+        runs=tuple(RunResult(name, (value,), (0.0,), 1, 1, None, 1, 0.0, 0.0) for name, value in runs),
         samples=1,
         seed=1,
     )
@@ -327,6 +327,48 @@ class TestRiskReport:
         )
         risk_report(_tiny_scenario(("gaussian", "independent")))
         assert len(calls) == 5 * 21
+        # every call reads a tail: the sample or batch keeps a fraction of its draws
+        assert all(sample.losses.size < sample.size / 4 for sample, _ in calls)
+
+    def test_a_tail_that_may_miss_a_draw_falls_back_to_the_whole_sample(self, monkeypatch):
+        scenario = _tiny_scenario(("gaussian", "clayton"))
+        tails = risk_report(scenario).runs
+        # chunks that keep no draw certify no tail
+        monkeypatch.setattr(simulate, "_KEEP_FACTOR", 0.0)
+        monkeypatch.setattr(simulate, "_KEEP_EXTRA", 0)
+        wholes = risk_report(scenario).runs
+        samples = scenario.mc.samples
+        assert all(r.kept_draws < samples / 4 for r in tails)
+        assert all(r.kept_draws == samples for r in wholes)
+
+        def untimed(r):
+            return repr(dataclasses.replace(r, kept_draws=0, simulate_s=0.0, avar_s=0.0))
+
+        assert [untimed(r) for r in wholes] == [untimed(r) for r in tails]
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_a_bound_run_allocates_well_under_its_sample(self, fixtures_dir):
+        scenario = load_scenario(fixtures_dir / "scenario1.json")
+
+        def at(n):
+            return dataclasses.replace(scenario, mc=dataclasses.replace(scenario.mc, samples=n, workers=1))
+
+        samples = 400_000
+        plan = list(risk._report_plan(at(samples)))
+        # one-off imports and per-process caches stay out of the peak
+        for step in plan:
+            risk._run_result(at(2_000), *step)
+        for step in plan:
+            tracemalloc.start()
+            try:
+                run = risk._run_result(at(samples), *step)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the kept draws, about a tenth of the sample, and one chunk's
+            # factor, losses and block temporaries; the sample alone is samples * 8
+            assert run.kept_draws < samples / 9
+            assert peak < 0.5 * samples * 8, run.name
 
     def test_deterministic_output(self):
         r1 = risk_report(_tiny_scenario())

@@ -36,6 +36,7 @@ from creditbounds.simulate import (
     _chunk_bounds,
     _chunk_rng,
     _gauss_legendre,
+    _keep,
     _lgd_total,
     _merge_support,
     _pool,
@@ -95,7 +96,8 @@ def _all_evaluated(profiles, borrowers, samples, seed):
             loss += grp.weight * _lgd_total(rng, grp.lgd, counts)
 
     out = np.zeros(samples)
-    _run_chunks(out, seed, 0, 1, chunk)
+    chunks = _chunk_bounds(samples)
+    _run_chunks(chunks, seed, 0, 1, lambda rng, ci: chunk(rng, out[slice(*chunks[ci])]))
     return out
 
 
@@ -458,6 +460,80 @@ class TestDeferredBands:
             total += len(built)
         # 26 singletons in each of the eight runs would be 208 builds
         assert total == 112
+
+
+def _reprs(values_and_ses) -> list:
+    return [[repr(v) for v in part] for part in values_and_ses]
+
+
+class TestTails:
+    """A tail run keeps only the draws its AVaR reads, and the report reads
+    the same bits from them as from the whole sample."""
+
+    @staticmethod
+    def _portfolio(kind):
+        """Tie-heavy pooled lattice losses, continuous beta-LGD ones, or the
+        mixed portfolio whose deterministic-LGD singletons defer their bands."""
+        if kind == "mixed":
+            return TestDeferredBands._mixed()
+        lgd = DeterministicLgd(0.45) if kind == "lattice" else BetaLgd(0.45, 0.2)
+        b = Borrower("pool", 0.05, 0.01, lgd, (0.1, 0.3), 0.2)
+        return [MODELS["gaussian"].bounds(b, None)[1]] * 40, [b] * 40
+
+    @pytest.mark.filterwarnings("ignore:pointwise min of the profile family")
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["lattice", "continuous", "mixed"]),
+        st.integers(20, 5_000),
+        st.integers(16, 160),
+        st.lists(st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99]), min_size=1, max_size=2, unique=True),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2]),
+        st.sampled_from([0, 4, 16, 64]),
+    )
+    def test_reads_the_bits_of_the_whole_sample(self, kind, samples, chunk, levels, seed, workers, extra):
+        profiles, borrowers = self._portfolio(kind)
+        # small chunks put several in a batch, and a small keep margin drops
+        # more draws and sometimes falls back to the whole sample
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_CHUNK", chunk)
+            mp.setattr(simulate, "_KEEP_EXTRA", extra)
+            whole = simulate_losses(profiles, borrowers, samples, seed)
+            tail = simulate_losses(profiles, borrowers, samples, seed, workers, tail=min(levels))
+        assert tail.size == samples and tail.losses.size <= samples
+        got = _reprs(risk._avar_with_se(tail, levels))
+        assert got == _reprs(risk._avar_with_se(whole, levels))
+
+    @pytest.mark.filterwarnings("ignore:pointwise min of the profile family")
+    @pytest.mark.parametrize("kind", ["lattice", "continuous", "mixed"])
+    def test_several_chunks_a_batch_keep_their_largest_draws(self, monkeypatch, kind):
+        monkeypatch.setattr(simulate, "_CHUNK", 500)
+        profiles, borrowers = self._portfolio(kind)
+        samples = 30_001  # three chunks a batch, four of unequal size in the first
+        whole = simulate_losses(profiles, borrowers, samples, seed=4)
+        tail = simulate_losses(profiles, borrowers, samples, seed=4, workers=3, tail=0.95)
+        chunks = _chunk_bounds(samples)
+        assert len(chunks) == 3 * _N_BATCHES + 1
+        # no fallback: each chunk kept its own largest draws, in chunk order
+        keeps = [_keep(hi - lo, 0.95) for lo, hi in chunks]
+        assert tail.losses.size == sum(keeps) < samples / 4
+        at = 0
+        for (lo, hi), k in zip(chunks, keeps):
+            expected = np.sort(whole.losses[lo:hi])[-k:]
+            assert np.array_equal(np.sort(tail.losses[at:at + k]), expected)
+            at += k
+        assert _reprs(risk._avar_with_se(tail, (0.95, 0.99))) == _reprs(risk._avar_with_se(whole, (0.95, 0.99)))
+
+    def test_a_tail_answers_only_what_it_kept(self):
+        profiles = [IndependentProfile(b.pd) for b in PORT]
+        tail = simulate_losses(profiles, PORT, 40_000, seed=2, tail=0.95)
+        assert tail.losses.size < tail.size == 40_000
+        assert np.isfinite(risk.avar(tail, (0.95, 0.99))).all()
+        with pytest.raises(ValueError, match="kept too few"):
+            risk.avar(tail, 0.5)
+        for whole_only in (tail.sorted, tail.mean):
+            with pytest.raises(ValueError, match="tail holds"):
+                whole_only()
 
 
 class TestStreams:
