@@ -22,6 +22,9 @@ for f in scenario1 idb_scenario1; do
   cb bounds --scenario "$fixtures/$f.json" --out "$out/bounds-$f-700001" --samples 700001
 done
 cb oracle --scenario "$fixtures/oracle_example.json" --out "$out/oracle-oracle_example"
+# 12 borrowers of distinct exposure, each its own group: the whole-sample
+# path that settles the singletons' band draws after the last chunk
+cb oracle --scenario "$fixtures/oracle_singletons.json" --out "$out/oracle-oracle_singletons"
 cb oracle --scenario "$fixtures/scenario1.json" --out "$out/oracle-scenario1" --samples 20001
 
 cd "$out"

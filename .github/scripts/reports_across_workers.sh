@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Runs `creditbounds bounds` on the four shipped fixtures and `creditbounds
-# oracle` on the oracle example at one and at three workers, and fails unless
-# every report file matches byte for byte across the two worker counts, and
-# each meta.json, parsed as strict JSON, matches too once `workers` and every
-# timing (a key ending in `_s`, at any depth) are dropped.
+# oracle` on the two oracle fixtures at one and at three workers, and fails
+# unless every report file matches byte for byte across the two worker
+# counts, and each meta.json, parsed as strict JSON, matches too once
+# `workers` and every timing (a key ending in `_s`, at any depth) are dropped.
 #
 # usage: .github/scripts/reports_across_workers.sh <output directory>
 # (from the repository root, with the package installed)
@@ -55,14 +55,18 @@ for run in scenario1:50001 scenario2:50001 idb_scenario1:50001 idb_scenario2:500
   same_meta "$out/$f-$n-w1" "$out/$f-$n-w3"
 done
 
-# the oracle's Monte Carlo samples settle their singletons' band draws after
-# the last chunk, and its exact files come from the package's own binomial
-# pmf; they must match too
-for w in 1 3; do
-  creditbounds oracle --scenario "$fixtures/oracle_example.json" \
-    --out "$out/oracle-w$w" --workers $w > /dev/null
+# the oracle's exact files come from the package's own binomial pmf, and its
+# Monte Carlo samples hold every draw; oracle_example pools its 8 identical
+# borrowers into one group, while oracle_singletons' 12 borrowers of distinct
+# exposure (seed 11) are singletons that settle their band draws after the
+# last chunk; every file must match too
+for f in oracle_example oracle_singletons; do
+  for w in 1 3; do
+    creditbounds oracle --scenario "$fixtures/$f.json" \
+      --out "$out/oracle-$f-w$w" --workers $w > /dev/null
+  done
+  for g in "$out/oracle-$f-w1"/oracle_report.csv "$out/oracle-$f-w1"/exact_*.csv; do
+    cmp "$g" "$out/oracle-$f-w3/$(basename "$g")"
+  done
+  same_meta "$out/oracle-$f-w1" "$out/oracle-$f-w3"
 done
-for f in "$out"/oracle-w1/oracle_report.csv "$out"/oracle-w1/exact_*.csv; do
-  cmp "$f" "$out/oracle-w3/$(basename "$f")"
-done
-same_meta "$out/oracle-w1" "$out/oracle-w3"

@@ -40,13 +40,11 @@ from .profiles import (
     GridProfile,
     IndependentProfile,
     ProfileEnvelope,
-    TabulatedPdCurve,
     check_membership,
     clayton_profile,
     curve_table,
     envelope,
     gaussian_profile,
-    increasing_rearrangement,
     profile_from_copula,
     survival_clayton_profile,
     validate_profile,

@@ -359,29 +359,30 @@ def clayton_theta_matching_gaussian(asset_corr: float) -> float:
     return 2.0 * tau / (1.0 - tau)
 
 
-def _open_grid(n: int) -> np.ndarray:
-    return np.arange(1, n + 1) / (n + 1.0)
+# points per axis of the open grid on which copulas are compared and checked
+# for stochastic increasingness
+_CHECK_GRID_N = 64
 
 
-def is_pointwise_leq(a: Copula, b: Copula, grid_n: int = 64) -> bool:
+def _open_grid() -> np.ndarray:
+    return np.arange(1, _CHECK_GRID_N + 1) / (_CHECK_GRID_N + 1.0)
+
+
+def is_pointwise_leq(a: Copula, b: Copula) -> bool:
     """True iff a.cdf <= b.cdf (within tolerance) on a uniform grid over (0,1)^2."""
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
-    g = _open_grid(grid_n)
+    g = _open_grid()
     u = g[:, None]
     v = g[None, :]
     return bool(np.all(a.cdf(u, v) <= b.cdf(u, v) + CHECK_TOL))
 
 
-def check_si(c: Copula, grid_n: int = 64) -> bool:
+def check_si(c: Copula) -> bool:
     """True iff v -> C(u, v) is concave on the grid for every grid u.
 
     Concavity of the CDF in the conditioning argument is equivalent to the
     copula being stochastically increasing.
     """
-    if grid_n < 3:
-        raise ValueError("grid_n must be at least 3")
-    g = _open_grid(grid_n)
+    g = _open_grid()
     cvals = c.cdf(g[:, None], g[None, :])
     second = cvals[:, 2:] - 2.0 * cvals[:, 1:-1] + cvals[:, :-2]
     return bool(np.all(second <= CHECK_TOL))

@@ -614,7 +614,8 @@ def load_scenario(path) -> Scenario:
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        # utf-8-sig drops a byte-order mark, as in load_portfolio_csv
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return scenario_from_dict(doc, base_dir=path.parent)

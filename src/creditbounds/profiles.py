@@ -9,7 +9,8 @@ borrower.
 
 Profiles come in four flavours: the independence line, the comonotone
 kink, copula-backed analytic profiles (G(s) = s - C_hat(1 - pd, s)) and
-grid-backed profiles.  Envelopes (pointwise max / min over a family) are
+step-curve profiles, whose conditional default probability is constant on
+uniform factor cells.  Envelopes (pointwise max / min over a family) are
 represented exactly through their members, bridging with straight
 segments only where the pointwise min fails convexity.  ``envelope``
 takes every decision, down to the member that each piece of the factor
@@ -38,13 +39,11 @@ __all__ = [
     "GridProfile",
     "EnvelopeProfile",
     "ProfileEnvelope",
-    "TabulatedPdCurve",
     "profile_from_copula",
     "gaussian_profile",
     "clayton_profile",
     "survival_clayton_profile",
     "envelope",
-    "increasing_rearrangement",
     "check_membership",
     "validate_profile",
     "curve_table",
@@ -54,7 +53,7 @@ __all__ = [
     "PROFILE_GRID_N",
 ]
 
-# knots for grid-backed forms and for all envelope / membership checks
+# knots for all envelope / membership checks and for curve export
 PROFILE_GRID_N = 1001
 
 
@@ -74,11 +73,6 @@ def _checked_pd(p: np.ndarray) -> np.ndarray:
     if p.size and not (0.0 <= p.min() and p.max() <= 1.0):
         raise ValueError("p < 0, p > 1 or p contains NaNs")
     return p
-
-
-def _downward_steps(steps: np.ndarray) -> np.ndarray:
-    """Cell edges where a step function over uniform cells of [0, 1] decreases."""
-    return (np.flatnonzero(np.diff(steps) < 0.0) + 1) / steps.size
 
 
 # uniform factor cells of a profile's cell bounds, and the absolute slack by
@@ -209,43 +203,45 @@ class CopulaProfile(DefaultProfile):
 
 @dataclass(frozen=True, eq=False)
 class GridProfile(DefaultProfile):
-    """Piecewise-linear G on uniformly spaced knots over [0, 1].
+    """Conditional default probability that is constant on uniform factor cells.
 
-    The derivative is the forward difference, i.e. a step function that is
-    constant on each knot interval.
+    ``steps[i]`` applies on the cell [i/n, (i+1)/n), G is their running
+    integral and pd their mean.  The steps need not increase: a general
+    mixture model is a step curve whose ``rearranged_profile`` dominates it
+    in convex order.
     """
 
-    knots: np.ndarray  # G values on a uniform grid including both endpoints
-    pd: float
+    steps: np.ndarray
+    pd: float = field(init=False)
 
     def __post_init__(self):
+        # a read-only copy: the caller's array cannot change the profile
+        steps = _as_unit(np.array(self.steps, dtype=float), "conditional default probabilities")
+        if steps.ndim != 1 or steps.size < 1:
+            raise ValueError("expected a one-dimensional array of probabilities")
+        steps.setflags(write=False)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "pd", float(steps.mean()))
         super().__post_init__()
-        object.__setattr__(self, "knots", np.asarray(self.knots, dtype=float))
-        if self.knots.ndim != 1 or self.knots.size < 2:
-            raise ValueError("grid profile needs at least two knot values")
-
-    @property
-    def _n_cells(self) -> int:
-        return self.knots.size - 1
-
-    def _grid(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.knots.size)
-
-    def _slopes(self) -> np.ndarray:
-        return np.diff(self.knots) * self._n_cells
 
     def _g(self, s):
-        return np.interp(s, self._grid(), self.knots)
+        n = self.steps.size
+        knots = np.concatenate([[0.0], np.cumsum(self.steps) / n])
+        return np.interp(s, np.linspace(0.0, 1.0, n + 1), knots)
 
     def _cpd(self, f):
-        return self._slopes()[_cell(f.t, self._n_cells)]
+        return self.steps[_cell(f.t, self.steps.size)]
 
     def _breakpoints(self):
-        # nothing requires the knots of a grid profile to be convex
-        return _downward_steps(self._slopes())
+        """The cell edges where the steps decrease."""
+        return (np.flatnonzero(np.diff(self.steps) < 0.0) + 1) / self.steps.size
 
     def group_key(self):
-        return ("grid", self.pd, self.knots.tobytes())
+        return ("grid", self.steps.tobytes())
+
+    def rearranged_profile(self) -> GridProfile:
+        """Profile of the increasing rearrangement: the same steps, sorted."""
+        return GridProfile(np.sort(self.steps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,57 +344,6 @@ def clayton_profile(theta: float, pd: float) -> CopulaProfile:
 def survival_clayton_profile(theta: float, pd: float) -> CopulaProfile:
     """Profile of the survival-Clayton-coupled threshold model (upper tail dependent)."""
     return CopulaProfile(SurvivalClayton(theta), _check_pd(pd))
-
-
-def increasing_rearrangement(values) -> np.ndarray:
-    """Sorted (ascending) copy of the values; preserves the multiset."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("expected a one-dimensional array of values")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("values must be finite")
-    return np.sort(arr)
-
-
-@dataclass(frozen=True, eq=False)
-class TabulatedPdCurve:
-    """Conditional default probability step curve that need not be monotone.
-
-    Used for general (not stochastically increasing) mixture models, mainly
-    to demonstrate that sorting the curve dominates it in convex order.
-    ``values[i]`` applies on the factor cell [i/n, (i+1)/n).
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_unit(self.values, "conditional default probabilities")
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("expected a one-dimensional array of probabilities")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def pd(self) -> float:
-        return float(self.values.mean())
-
-    def _cpd(self, f):
-        return self.values[_cell(f.t, self.values.size)]
-
-    def _breakpoints(self):
-        return _downward_steps(self.values)
-
-    _pd_at = DefaultProfile._pd_at
-    _cell_bounds = DefaultProfile._cell_bounds
-    conditional_pd = DefaultProfile.conditional_pd
-
-    def group_key(self):
-        return ("pd_curve", self.values.tobytes())
-
-    def rearranged_profile(self) -> GridProfile:
-        """Grid profile of the stochastically increasing rearrangement."""
-        sorted_values = increasing_rearrangement(self.values)
-        knots = np.concatenate([[0.0], np.cumsum(sorted_values) / sorted_values.size])
-        return GridProfile(knots, float(knots[-1]))
 
 
 def validate_profile(profile) -> None:

@@ -164,21 +164,20 @@ def stop_loss_curve(sample: LossSample, thresholds) -> np.ndarray:
     return suffix_xw[idx] - ks * suffix_w[idx]
 
 
-def check_cx_dominance(a: LossSample, b: LossSample, thresholds=None) -> str:
+def check_cx_dominance(a: LossSample, b: LossSample) -> str:
     """Empirical convex-order test: is a <=_cx b?
 
-    Returns ``"dominates"`` when every stop-loss value of ``a`` stays below
-    that of ``b`` within a slack band of three pooled batch standard errors
-    and the means agree within the same band, ``"violates"`` when some
-    threshold exceeds the band the wrong way, and ``"indistinguishable"``
-    otherwise.  Statistical evidence, not proof.
+    Returns ``"dominates"`` when every stop-loss value of ``a``, at 101
+    thresholds from 0 to the larger 99.99 % VaR, stays below that of ``b``
+    within a slack band of three pooled batch standard errors and the means
+    agree within the same band, ``"violates"`` when some threshold exceeds
+    the band the wrong way, and ``"indistinguishable"`` otherwise.
+    Statistical evidence, not proof.
     """
     # the batch statistics below read the draws in simulation order
     sorted_a, sorted_b = a.sorted(), b.sorted()
-    if thresholds is None:
-        hi = max(var(sorted_a, 0.9999), var(sorted_b, 0.9999))
-        thresholds = np.linspace(0.0, hi if hi > 0 else 1.0, 101)
-    ks = np.asarray(thresholds, dtype=float)
+    hi = max(var(sorted_a, 0.9999), var(sorted_b, 0.9999))
+    ks = np.linspace(0.0, hi if hi > 0 else 1.0, 101)
 
     def curve(s):
         return stop_loss_curve(s, ks)

@@ -717,6 +717,8 @@ def sup_cdf_distance(mc: LossSample, exact: LossSample) -> float:
     """
     if exact.weights is None:
         raise ValueError("second argument must be an exact (weighted) distribution")
+    if mc.weights is not None or mc.draws is not None:
+        raise ValueError("first argument must be an equally weighted sample of every draw")
     exact = exact.sorted()
     xs = exact.losses
     cdf = np.cumsum(exact.weights)

@@ -39,7 +39,6 @@ from creditbounds.profiles import (
     ComonotoneProfile,
     GridProfile,
     IndependentProfile,
-    TabulatedPdCurve,
     clayton_profile,
     envelope,
     gaussian_profile,
@@ -332,14 +331,14 @@ def test_criterion_7_convex_order_suite():
         rng = np.random.default_rng(7006)
         for j in range(20):
             lam = rng.uniform(0.05, 0.95)
-            member = GridProfile(lam * g_lo + (1.0 - lam) * g_up, 0.02)
+            member = GridProfile(np.diff(lam * g_lo + (1.0 - lam) * g_up) * 1000)
             verdict = check_cx_dominance(lower_sample, sim([member] * 100, 7100 + j))
             if verdict != "dominates":
                 failures.append(f"interior member {j} (lambda={lam:.2f}): {verdict}")
         # (iv) non-monotone conditional default curve vs its rearrangement
         port50 = homogeneous_portfolio(50, 0.02, DeterministicLgd(0.1))
         t = (np.arange(2000) + 0.5) / 2000
-        curve = TabulatedPdCurve(0.02 * (1.0 + np.sin(2.0 * np.pi * t)))
+        curve = GridProfile(0.02 * (1.0 + np.sin(2.0 * np.pi * t)))
         verdict = check_cx_dominance(
             sim([curve] * 50, 7200, borrowers=port50),
             sim([curve.rearranged_profile()] * 50, 7201, borrowers=port50),

@@ -387,6 +387,18 @@ class TestOracle:
         for key in ("exact_s", "mc_s", "write_s"):
             assert isinstance(row[key], float) and row[key] >= 0.0
 
+    def test_singletons_scenario_passes(self, fixtures_dir, tmp_path, capsys):
+        # 12 borrowers of distinct exposure: each run draws 12 singletons
+        # whose band draws settle after the last chunk of the whole sample
+        out = tmp_path / "oracle"
+        code, _, _ = run(
+            capsys, "oracle", "--scenario", str(fixtures_dir / "oracle_singletons.json"),
+            "--out", str(out),
+        )
+        assert code == 0
+        report = (out / "oracle_report.csv").read_text().splitlines()
+        assert len(report) == 5 and all(line.endswith("True") for line in report[1:])
+
     def test_config_hash_covers_quad_nodes(self, fixtures_dir, tmp_path, capsys):
         hashes = []
         for nodes in ("64", "256"):

@@ -270,12 +270,6 @@ class TestOrderingAndSi:
     def test_all_families_are_si(self, cop):
         assert check_si(cop)
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            is_pointwise_leq(Independence(), Comonotone(), grid_n=1)
-        with pytest.raises(ValueError):
-            check_si(Independence(), grid_n=2)
-
 
 class TestLimits:
     def test_clayton_tends_to_independence(self):

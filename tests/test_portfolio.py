@@ -370,6 +370,12 @@ class TestScenario:
         with pytest.raises(ConfigError, match=r"^portfolio \(csv\): unknown field 'corr_intervall'"):
             scenario_from_dict(doc)
 
+    def test_byte_order_mark_is_not_part_of_the_json(self, fixtures_dir, tmp_path):
+        marked = tmp_path / "marked.json"
+        marked.write_text((fixtures_dir / "scenario1.json").read_text(), encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_scenario(marked) == load_scenario(fixtures_dir / "scenario1.json")
+
     def test_invalid_json_reported(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")

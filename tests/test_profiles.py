@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -29,13 +29,11 @@ from creditbounds.profiles import (
     EnvelopeProfile,
     GridProfile,
     IndependentProfile,
-    TabulatedPdCurve,
     check_membership,
     clayton_profile,
     curve_table,
     envelope,
     gaussian_profile,
-    increasing_rearrangement,
     profile_from_copula,
     survival_clayton_profile,
     validate_profile,
@@ -342,42 +340,55 @@ class TestEnvelopeDecidedWhenBuilt:
 
 class TestRearrangement:
     def test_sorts(self):
-        assert list(increasing_rearrangement([0.3, 0.1, 0.2])) == [0.1, 0.2, 0.3]
+        p = GridProfile([0.3, 0.1, 0.2])
+        assert list(p.rearranged_profile().steps) == [0.1, 0.2, 0.3]
 
     def test_increasing_input_unchanged(self):
         vals = np.linspace(0.0, 0.5, 17)
-        assert np.array_equal(increasing_rearrangement(vals), vals)
+        assert np.array_equal(GridProfile(vals).rearranged_profile().steps, vals)
 
-    def test_partial_sums_dominated_from_the_right(self):
-        n = 1000
-        t = (np.arange(n) + 0.5) / n
-        curve = 0.02 * (1.0 + np.sin(2.0 * np.pi * t))
-        sorted_curve = increasing_rearrangement(curve)
-        suffix = np.cumsum(curve[::-1])[::-1]
-        suffix_sorted = np.cumsum(sorted_curve[::-1])[::-1]
-        assert np.all(suffix <= suffix_sorted + 1e-12)
-        assert suffix[0] == pytest.approx(suffix_sorted[0], abs=1e-12)
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=200))
+    def test_integral_dominated_at_every_knot(self, steps):
+        assume(0.0 < np.mean(steps) < 1.0)
+        curve = GridProfile(steps)
+        knots = np.linspace(0.0, 1.0, len(steps) + 1)
+        g, g_sorted = curve.g(knots), curve.rearranged_profile().g(knots)
+        assert np.all(g_sorted <= g + 1e-12)
+        assert g_sorted[-1] == pytest.approx(g[-1], abs=1e-12)
 
     def test_rearranged_profile_is_valid(self):
         n = 1000
         t = (np.arange(n) + 0.5) / n
-        curve = TabulatedPdCurve(0.02 * (1.0 + np.sin(2.0 * np.pi * t)))
+        curve = GridProfile(0.02 * (1.0 + np.sin(2.0 * np.pi * t)))
         prof = curve.rearranged_profile()
         validate_profile(prof)
         assert prof.pd == pytest.approx(curve.pd, abs=1e-12)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            increasing_rearrangement([0.1, float("inf")])
-
 
 class TestGridProfile:
-    def test_interpolation_and_forward_difference(self):
-        knots = np.array([0.0, 0.01, 0.05, 0.2])
-        p = GridProfile(knots, 0.2)
+    def test_running_integral_and_steps(self):
+        p = GridProfile(np.array([0.03, 0.12, 0.45]))
+        assert p.pd == pytest.approx(0.2, abs=1e-15)
         assert p.g(0.5) == pytest.approx(0.03, abs=1e-15)
-        assert p.conditional_pd(0.1) == pytest.approx(0.03, abs=1e-15)  # first cell slope
+        assert p.conditional_pd(0.1) == pytest.approx(0.03, abs=1e-15)  # first cell
         assert p.conditional_pd(0.9) == pytest.approx(0.45, abs=1e-15)
+
+    def test_steps_are_a_read_only_copy(self):
+        steps = np.array([0.1, 0.3])
+        p = GridProfile(steps)
+        steps[0] = np.nan
+        assert p.conditional_pd(0.25) == 0.1 and p.pd == pytest.approx(0.2, abs=1e-15)
+        with pytest.raises(ValueError):
+            p.steps[0] = 0.2
+
+    @pytest.mark.parametrize("steps", [
+        [0.1, float("inf")], [0.1, float("nan")], [0.1, -0.1], [0.1, 1.5], [], [[0.1, 0.2]],
+        [0.0, 0.0], [1.0, 1.0],
+    ])
+    def test_rejects_invalid_steps(self, steps):
+        with pytest.raises(ValueError):
+            GridProfile(steps)
 
     def test_curve_table_boundaries(self):
         s, g, p = curve_table(gaussian_profile(0.165, 0.02))
@@ -406,17 +417,17 @@ class TestModelRegistry:
 
 
 def _shared_factor_profiles(pd, lo, point, hi):
-    """Every registered model's bounds, a repaired envelope, a grid profile
-    and a tabulated curve: each kind of conditional that reads a factor."""
+    """Every registered model's bounds, a repaired envelope, and an
+    increasing and a decreasing step curve: each kind of conditional that
+    reads a factor."""
     b = Borrower("b", pd, 1.0, DeterministicLgd(0.1), (lo, hi), point)
     out = []
     for spec in MODELS.values():
         out.extend(spec.bounds(b, Clayton(1.3)))
     repaired = envelope([gaussian_profile(0.1641, 0.02), clayton_profile(0.7232, 0.02)]).upper
     assert repaired.bridges
-    knots = np.concatenate([[0.0], np.cumsum(np.linspace(0.0, 2.0 * pd, 50)) / 50])
-    curve = TabulatedPdCurve(np.linspace(0.5, 0.0, 7) ** 2)
-    return out + [repaired, GridProfile(knots, float(knots[-1])), curve]
+    steps = [np.linspace(0.0, 2.0 * pd, 50), np.linspace(0.5, 0.0, 7) ** 2]
+    return out + [repaired] + [GridProfile(s) for s in steps]
 
 
 class TestSharedFactor:

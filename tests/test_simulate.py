@@ -19,7 +19,6 @@ from creditbounds.profiles import (
     DefaultProfile,
     GridProfile,
     IndependentProfile,
-    TabulatedPdCurve,
     clayton_profile,
     curve_table,
     envelope,
@@ -188,8 +187,7 @@ class TestBernoulli:
         """A singleton whose pd steps through ps, then one at the constant pd
         ps[0] (when it is a valid pd), whose draws shift with any uniform the
         first consumes wrongly."""
-        curve = TabulatedPdCurve(np.array(ps))
-        profiles = [curve]
+        profiles = [GridProfile(ps)]
         if 0.0 < ps[0] < 1.0:
             profiles.append(IndependentProfile(float(ps[0])))
         borrowers = [
@@ -205,7 +203,7 @@ class TestBernoulli:
     )
     def test_matches_the_all_evaluated_draws(self, ps, seed):
         # the curve's mean is its borrower's pd
-        assume(0.0 < TabulatedPdCurve(np.array(ps)).pd < 1.0)
+        assume(0.0 < np.mean(ps) < 1.0)
         profiles, borrowers = self._curve_and_constant(ps)
         _assert_matches_all_evaluated(profiles, borrowers, 2_000, seed)
 
@@ -295,10 +293,14 @@ def singletons(draw):
     return borrowers, profiles
 
 
-def _grid(slopes) -> GridProfile:
-    """Unvalidated grid profile whose pd steps through ``slopes``."""
-    knots = np.concatenate([[0.0], np.cumsum(slopes) / len(slopes)])
-    return GridProfile(knots, float(knots[-1]))
+def _grid_with_nan(steps, nan_steps) -> GridProfile:
+    """Step-curve profile of ``steps`` with NaN swapped into the steps
+    ``nan_steps`` after construction, which rejects a NaN step."""
+    profile = GridProfile(steps)
+    steps = profile.steps.copy()
+    steps[nan_steps] = np.nan
+    object.__setattr__(profile, "steps", steps)
+    return profile
 
 
 class TestPdTable:
@@ -323,7 +325,7 @@ class TestPdTable:
     def test_zero_pd_stretch_matches_the_all_evaluated_draws(self):
         # pd is exactly 0 on the first 30% of the factor
         slopes = np.where(np.arange(1000) < 300, 0.0, np.linspace(0.0, 0.9, 1000))
-        profiles, borrowers = self._with_gaussian(_grid(slopes))
+        profiles, borrowers = self._with_gaussian(GridProfile(slopes))
         assert np.all(profiles[0].conditional_pd(np.linspace(0.01, 0.29, 50)) == 0.0)
         _assert_matches_all_evaluated(profiles, borrowers, 40_000, seed=3)
 
@@ -332,18 +334,15 @@ class TestPdTable:
 
     @pytest.mark.parametrize("profile", [
         # cell edge values that decrease over the second half
-        _grid(0.3 + 0.25 * np.sin(np.linspace(0.0, 2.0 * np.pi, 1000))),
-        _grid(ZIGZAG),
-        TabulatedPdCurve(ZIGZAG),
-    ], ids=["coarse-grid", "grid-finer-than-the-table", "curve-finer-than-the-table"])
+        GridProfile(0.3 + 0.25 * np.sin(np.linspace(0.0, 2.0 * np.pi, 1000))),
+        GridProfile(ZIGZAG),
+    ], ids=["coarse-grid", "grid-finer-than-the-table"])
     def test_non_monotone_profile_falls_back_to_the_exact_pd(self, profile):
         profiles, borrowers = self._with_gaussian(profile)
         _assert_matches_all_evaluated(profiles, borrowers, 40_000, seed=4)
 
     def test_nan_in_the_table_raises(self):
-        knots = np.linspace(0.0, 0.2, 1001)
-        knots[500] = np.nan
-        profiles, borrowers = self._with_gaussian(GridProfile(knots, 0.2))
+        profiles, borrowers = self._with_gaussian(_grid_with_nan(np.full(1000, 0.2), slice(499, 501)))
         with pytest.raises(ValueError, match="NaN"):
             simulate_losses(profiles, borrowers, 100, seed=1)
         with pytest.raises(ValueError, match="NaN"):
@@ -410,9 +409,7 @@ class TestDeferredBands:
         # a dip in every third step makes every cell non-monotone, so
         # all draws fall in the band; the NaN steps lie inside one cell,
         # away from the cell edges, which read every third step
-        knots = np.concatenate([[0.0], np.cumsum(TestPdTable.ZIGZAG) / TestPdTable.ZIGZAG.size])
-        knots[3 * 2000 + 2] = np.nan
-        profile = GridProfile(knots, float(knots[-1]))
+        profile = _grid_with_nan(TestPdTable.ZIGZAG, slice(3 * 2000 + 1, 3 * 2000 + 3))
         assert np.all(profile._cell_bounds()[0] == 0.0)
         profiles, borrowers = TestPdTable()._with_gaussian(profile)
         with pytest.raises(ValueError, match="NaN"):
@@ -686,6 +683,16 @@ class TestExactDistribution:
             mc = simulate_losses(profiles, port, 100_000, seed=32)
             assert sup_cdf_distance(mc, ex) < dkw_epsilon(100_000)
 
+    def test_distance_needs_every_draw_equally_weighted(self):
+        port = homogeneous_portfolio(10, 0.08, DeterministicLgd(1.0))
+        profiles = [gaussian_profile(0.25, 0.08)] * 10
+        ex = exact_loss_distribution(profiles, port)
+        tail = simulate_losses(profiles, port, 20_000, seed=32, tail=0.95)
+        assert tail.draws == 20_000 and tail.losses.size < 20_000
+        for mc in (tail, ex):
+            with pytest.raises(ValueError, match="every draw"):
+                sup_cdf_distance(mc, ex)
+
     def test_comonotone_shared_threshold_is_one_atom(self):
         borrowers = [
             Borrower("a", 0.1, 0.6, DeterministicLgd(1.0), (0.1, 0.2), 0.15),
@@ -745,9 +752,7 @@ class TestExactDistribution:
         assert np.array_equal(ex.weights, reference.weights)
 
     def test_nan_pd_raises(self):
-        knots = np.linspace(0.0, 0.2, 1001)
-        knots[400:601] = np.nan
-        profiles, borrowers = TestPdTable()._with_gaussian(GridProfile(knots, 0.2))
+        profiles, borrowers = TestPdTable()._with_gaussian(_grid_with_nan(np.full(1000, 0.2), slice(399, 601)))
         with pytest.raises(ValueError, match="NaN"):
             exact_loss_distribution(profiles, borrowers)
 
