@@ -17,8 +17,9 @@ for f in scenario1 scenario2 idb_scenario1 idb_scenario2; do
 done
 # 700,001 samples cut each batch into two chunks of unequal size, so each
 # run's tail merges the largest draws of several chunks, and on IDB those of
-# chunks whose band draws settle after the last chunk
-for f in scenario1 idb_scenario1; do
+# chunks whose band draws settle after the last chunk; scenario2's pooled
+# beta-LGD group draws each chunk in three blocks
+for f in scenario1 scenario2 idb_scenario1; do
   cb bounds --scenario "$fixtures/$f.json" --out "$out/bounds-$f-700001" --samples 700001
 done
 cb oracle --scenario "$fixtures/oracle_example.json" --out "$out/oracle-oracle_example"

@@ -42,9 +42,10 @@ PY
 # chunks are laid out by the sample count alone; 50,001 samples leave
 # batches of unequal size, and the reports must still match byte for byte;
 # 700,001 samples cut each batch into two chunks of unequal size, whose
-# largest draws each run's tail merges (on IDB after settling band draws)
+# largest draws each run's tail merges (on IDB after settling band draws,
+# and on scenario2 after drawing the beta-LGD pool in three blocks a chunk)
 for run in scenario1:50001 scenario2:50001 idb_scenario1:50001 idb_scenario2:50001 \
-    scenario1:700001 idb_scenario1:700001; do
+    scenario1:700001 scenario2:700001 idb_scenario1:700001; do
   f=${run%:*}
   n=${run#*:}
   for w in 1 3; do

@@ -18,11 +18,10 @@ tails do not hold the whole sample's (scenario2 at 10^6 samples, seed 7:
 chunk keeps twice its expected share.  A certificate (``_tail_edges``)
 checks that the kept draws hold each T largest; where it cannot, the run
 is simulated again whole, so every AVaR has the bits of the whole sample's.
-A pooled group evaluates its pd, draws its binomial counts and, with a
-deterministic LGD, adds its losses a block of at most ``_BLOCK`` draws at
-a time: each works draw by draw, so the stream is the same, and without a
-sample-sized array the C allocator would otherwise return and fault in a
-chunk's larger temporaries again every chunk.
+A pooled group evaluates its pd, draws its binomial counts and adds its
+losses a block of at most ``_BLOCK`` draws at a time, its LGD draws
+included: without a sample-sized array the C allocator would otherwise
+return and fault in a chunk's larger temporaries again every chunk.
 
 Borrowers that share a profile, an LGD specification and an exposure
 weight are pooled: conditionally on the factor their default count is
@@ -35,15 +34,16 @@ profile per run, and those bounds decide u < p for all but the draws whose
 uniform falls between them (``_decide``).  Only those draws, the band, and
 every draw in a cell where p may decrease evaluate p itself.
 A singleton with deterministic LGD settles its band once per run: each
-chunk records the band draws' positions, factor values and uniforms, and
-after the last chunk every such singleton evaluates p once over all of its
-band draws and the scenarios they touch are summed again in group order, so
-each loss keeps the bits of the draw-by-draw loop (``_settle_bands``).  A
-beta-LGD singleton settles its band inside the chunk, because how many LGD
-values it draws depends on its defaults.  Beta LGD values come from the
-exact table sampler of ``_beta``, one table per beta shape, built before
-the chunks start so that worker threads only read it; a pooled group sums
-its draws per scenario a round at a time (``BetaTable.sums``).  Every
+chunk adds every group's term in group order, this singleton's without its
+band draws, and records the band draws' positions, factor values and
+uniforms; after the last chunk every such singleton, in group order,
+evaluates p once over all of its band draws and adds its band defaults to
+the losses (``_settle_bands``).  A beta-LGD singleton settles its band
+inside the chunk, because how many LGD values it draws depends on its
+defaults.  Beta LGD values come from the exact table sampler of ``_beta``,
+one table per beta shape, built before the chunks start so that worker
+threads only read it; a pooled group sums each block's draws per scenario
+a round at a time (``BetaTable.sums``).  Every
 evaluated conditional default probability comes from the profile's one
 clipped and checked call (``_pd_at``), so a NaN raises ValueError on every
 path.  It reads one shared ``Factor`` per chunk (per quadrature batch on
@@ -317,36 +317,30 @@ class _Deferred:
     """Band draws a chunk left to its deterministic-LGD singletons.
 
     ``loss[touched]`` are the losses of the chunk's draws in any band, in
-    draw order.  Group g's loss term there is ``scales[g] * values[g]``
-    (``simulate_losses``): the defaults of a deterministic-LGD singleton,
-    False at its own band draws, or the LGD total of any other group.
-    ``bands[j]`` holds the (column in ``touched``, factor value, uniform)
-    arrays of the j-th deferring group.
+    draw order, each the sum of every group's term with no band default in
+    it.  ``bands[j]`` holds the (column in ``touched``, factor value,
+    uniform) arrays of the j-th deferring group.
     """
 
     loss: np.ndarray
     touched: np.ndarray
-    values: list
     bands: list
 
 
 def _settle_bands(deferred: list, scales: list, profiles: dict) -> None:
     """Evaluate each deferring group's pd once over its band draws from every
-    chunk, then sum the touched scenarios' terms again in group order;
-    ``profiles`` maps the deferring groups' indices, in order, to their profiles."""
+    chunk and add its defaults there, ``scales[g] * (u < p)``, group by
+    group; ``profiles`` maps the deferring groups' indices, in order, to
+    their profiles."""
     offsets = np.cumsum([0] + [d.touched.size for d in deferred])
-    band_of = {g: j for j, g in enumerate(profiles)}
-    total = np.zeros(offsets[-1])
-    for g, scale in enumerate(scales):
-        values = np.concatenate([d.values[g] for d in deferred])
-        if g in band_of:
-            bands = [d.bands[band_of[g]] for d in deferred]
-            cols = np.concatenate([c + off for (c, _, _), off in zip(bands, offsets)])
-            if cols.size:
-                t = np.concatenate([t for _, t, _ in bands])
-                u = np.concatenate([u for _, _, u in bands])
-                values[cols] = u < profiles[g]._pd_at(Factor(t))
-        total += scale * values
+    total = np.concatenate([d.loss[d.touched] for d in deferred])
+    for j, (g, profile) in enumerate(profiles.items()):
+        bands = [d.bands[j] for d in deferred]
+        cols = np.concatenate([c + off for (c, _, _), off in zip(bands, offsets)])
+        if cols.size:
+            t = np.concatenate([t for _, t, _ in bands])
+            u = np.concatenate([u for _, _, u in bands])
+            total[cols] += scales[g] * (u < profile._pd_at(Factor(t)))
     for d, a, b in zip(deferred, offsets[:-1], offsets[1:]):
         d.loss[d.touched] = total[a:b]
 
@@ -377,9 +371,11 @@ def simulate_losses(
     too, but its profile's cell bounds, built once per profile, decide most
     draws without evaluating the pd (``_decide``); a deterministic-LGD
     singleton evaluates it once per run (``_settle_bands``).  Every other
-    pooled group draws a binomial count at its pd.  The sample records the
-    pooled group sizes and the share of the bounds-decided draws that
-    evaluated their pd.
+    pooled group draws a binomial count at its pd, a block of draws at a
+    time.  A loss is the sum of the groups' terms in group order, then of
+    the deterministic-LGD singletons' band defaults in group order.  The
+    sample records the pooled group sizes and the share of the
+    bounds-decided draws that evaluated their pd.
 
     Without ``tail`` the sample holds every draw.  With ``tail``, the lowest
     level an AVaR of the run reads, it is a tail (``LossSample``): a chunk
@@ -434,16 +430,15 @@ def simulate_losses(
         m = hi - lo
         loss = np.zeros(m) if tail is not None else losses[lo:hi]
         f = Factor(_stratified(rng, m))
-        # the pd, the binomial and the loss sums work draw by draw, so taking a
-        # pooled group a block at a time keeps the stream and the bits, and
-        # bounds each temporary by a block
+        # a pooled group draws its counts and adds its losses a block at a
+        # time, so that no temporary outgrows a block
         cuts = _split_edges(m, -(-m // _BLOCK)).tolist()
         blocks = [slice(a, b) for a, b in itertools.pairwise(cuts)]
         # the blocks' factors, which pooled groups share until the last of them
         factors = [f[block] for block in blocks]
         cell = _cell(f.t, _PD_CELLS) if n_bounded else None
         n_eval = 0
-        values, bands = [], []  # per group, and (band, t, u) per deferring group
+        bands = []  # (band, t, u) per deferring group
         for gi, (grp, bounds, scale, bit) in enumerate(zip(groups, cell_bounds, scales, bits)):
             p = grp.profile
             if isinstance(p, ComonotoneProfile):
@@ -458,24 +453,13 @@ def simulate_losses(
             elif grp.n == 1:
                 counts = rng.random(m) < p.pd
             else:
-                # a deterministic LGD adds each block's losses as it is drawn;
-                # a beta LGD's table and a deferred band read the whole chunk's
-                whole = deferring or not isinstance(grp.lgd, DeterministicLgd)
-                counts = np.empty(m, dtype=np.int64) if whole else None
                 for j, block in enumerate(blocks):
                     c = rng.binomial(grp.n, p._pd_at(factors[j]))
-                    if whole:
-                        counts[block] = c
-                    else:
-                        loss[block] += scale * (grp.lgd.value * c)
+                    loss[block] += scale * _lgd_total(rng, grp.lgd, c)
                     if gi == last_pooled:
                         factors[j] = None  # its transforms have no reader left
-                if not whole:
-                    continue
-            v = counts if bit else _lgd_total(rng, grp.lgd, counts)
-            loss += scale * v
-            if deferring:
-                values.append(v)
+                continue
+            loss += scale * (counts if bit else _lgd_total(rng, grp.lgd, counts))
         touched = np.empty(0, dtype=np.intp)
         if deferring:
             # the distinct positions, ascending (np.unique would import numpy.ma)
@@ -495,12 +479,7 @@ def simulate_losses(
                 losses[slots[ci]:slots[ci + 1]] = _top(loss, keep)
         if not touched.size:
             return n_eval, None
-        return n_eval, _Deferred(
-            loss,
-            at,
-            [v[touched] for v in values],
-            [(np.searchsorted(touched, band), t, u) for band, t, u in bands],
-        )
+        return n_eval, _Deferred(loss, at, [(np.searchsorted(touched, band), t, u) for band, t, u in bands])
 
     results = _run_chunks(chunks, seed, run, workers, chunk)
     deferred = [d for _, d in results if d is not None]

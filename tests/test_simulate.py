@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -24,6 +25,8 @@ from creditbounds.profiles import (
     envelope,
     gaussian_profile,
     survival_clayton_profile,
+    _PD_CELLS,
+    _cell,
     _checked_pd,
 )
 from creditbounds.simulate import (
@@ -40,6 +43,7 @@ from creditbounds.simulate import (
     _merge_support,
     _pool,
     _run_chunks,
+    _split_edges,
     _stratified,
     batch_standard_error,
     dkw_epsilon,
@@ -76,23 +80,43 @@ def _node_by_node(profiles, borrowers, quad_nodes):
 
 def _all_evaluated(profiles, borrowers, samples, seed):
     """Losses of the chunk loop that evaluates every singleton's pd at every
-    draw and defaults it where its uniform falls below."""
+    draw and defaults it where its uniform falls below.  A pooled group draws
+    a block of at most ``simulate._BLOCK`` draws at a time.  A
+    deterministic-LGD singleton under neither benchmark profile adds the
+    defaults of its band, the draws whose uniform falls between its profile's
+    cell bounds, after the last group."""
     groups = _pool(borrowers, profiles)
 
     def chunk(rng, loss):
         m = loss.size
         f = Factor(_stratified(rng, m))
+        cuts = _split_edges(m, -(-m // simulate._BLOCK)).tolist()
+        late = []
         for grp in groups:
             p = grp.profile
+            benchmark = isinstance(p, (IndependentProfile, ComonotoneProfile))
             if isinstance(p, ComonotoneProfile):
                 counts = grp.n * (f.t >= 1.0 - p.pd).astype(np.int64)
             elif grp.n == 1:
-                counts = rng.random(m) < _checked_pd(np.clip(p._cpd(f), 0.0, 1.0))
-            elif isinstance(p, IndependentProfile):
-                counts = rng.binomial(grp.n, p.pd, size=m)
+                u = rng.random(m)
+                counts = u < _checked_pd(np.clip(p._cpd(f), 0.0, 1.0))
+                if isinstance(grp.lgd, DeterministicLgd) and not benchmark:
+                    lo, hi = p._cell_bounds()
+                    cell = _cell(f.t, _PD_CELLS)
+                    band = (u < hi[cell]) ^ (u < lo[cell])
+                    late.append((grp.weight * grp.lgd.value, counts & band))
+                    counts &= ~band
             else:
-                counts = rng.binomial(grp.n, np.clip(p._cpd(f), 0.0, 1.0))
+                for a, b in itertools.pairwise(cuts):
+                    if isinstance(p, IndependentProfile):
+                        c = rng.binomial(grp.n, p.pd, size=b - a)
+                    else:
+                        c = rng.binomial(grp.n, np.clip(p._cpd(Factor(f.t[a:b])), 0.0, 1.0))
+                    loss[a:b] += grp.weight * _lgd_total(rng, grp.lgd, c)
+                continue
             loss += grp.weight * _lgd_total(rng, grp.lgd, counts)
+        for scale, defaults in late:
+            loss += scale * defaults
 
     out = np.zeros(samples)
     chunks = _chunk_bounds(samples)
@@ -247,6 +271,17 @@ class TestBernoulli:
         ):
             _assert_matches_all_evaluated(profiles, borrowers, 40_000, seed=8)
 
+    @pytest.mark.parametrize("lgd", [DeterministicLgd(0.45), BetaLgd(0.45, 0.2)], ids=repr)
+    @pytest.mark.parametrize("block", [1_000, 700])
+    def test_pooled_groups_draw_block_by_block(self, monkeypatch, block, lgd):
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        # 2,000-draw chunks: two equal blocks, or three of unequal size
+        assert {hi - lo for lo, hi in _chunk_bounds(40_000)} == {2_000}
+        pool = Borrower("pool", 0.05, 0.02, lgd, (0.1, 0.3), 0.2)
+        indep = Borrower("indep", 0.2, 0.01, lgd, (0.1, 0.3), 0.2)
+        profiles = [MODELS["gaussian"].bounds(pool, None)[1]] * 30 + [IndependentProfile(0.2)] * 40
+        _assert_matches_all_evaluated(profiles, [pool] * 30 + [indep] * 40, 40_000, seed=6)
+
     def test_sample_records_the_pooled_group_sizes(self):
         sample = simulate_losses(IND_PROFILES, PORT, 100, seed=1)
         assert sample.group_sizes == (1000,)
@@ -386,8 +421,11 @@ class TestDeferredBands:
 
     @pytest.mark.filterwarnings("ignore:pointwise min of the profile family")
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_mixed_portfolio_matches_the_all_evaluated_draws(self, monkeypatch, workers):
+    # one block per chunk, or three of unequal size
+    @pytest.mark.parametrize("block", [simulate._BLOCK, 250])
+    def test_mixed_portfolio_matches_the_all_evaluated_draws(self, monkeypatch, block, workers):
         monkeypatch.setattr(simulate, "_CHUNK", 700)
+        monkeypatch.setattr(simulate, "_BLOCK", block)
         profiles, borrowers = self._mixed()
         samples = 30_001
         assert len(_chunk_bounds(samples)) >= 2 * _N_BATCHES
@@ -487,13 +525,16 @@ class TestTails:
         st.integers(0, 2**32 - 1),
         st.sampled_from([1, 2]),
         st.sampled_from([0, 4, 16, 64]),
+        st.sampled_from([7, 50, simulate._BLOCK]),
     )
-    def test_reads_the_bits_of_the_whole_sample(self, kind, samples, chunk, levels, seed, workers, extra):
+    def test_reads_the_bits_of_the_whole_sample(self, kind, samples, chunk, levels, seed, workers, extra, block):
         profiles, borrowers = self._portfolio(kind)
-        # small chunks put several in a batch, and a small keep margin drops
-        # more draws and sometimes falls back to the whole sample
+        # small chunks put several in a batch, small blocks several in a
+        # chunk, and a small keep margin drops more draws and sometimes falls
+        # back to the whole sample
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "_CHUNK", chunk)
+            mp.setattr(simulate, "_BLOCK", block)
             mp.setattr(simulate, "_KEEP_EXTRA", extra)
             whole = simulate_losses(profiles, borrowers, samples, seed)
             tail = simulate_losses(profiles, borrowers, samples, seed, workers, tail=min(levels))
