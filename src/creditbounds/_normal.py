@@ -62,9 +62,11 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([-x[:half], x[::-1]]), np.concatenate([w[:half], w[::-1]])
 
 
+# bvn's 20-point rule as the fractions 1 - x, 1 + x of its positive nodes x,
+# descending, and their weights, in the order the terms are summed
 _GL_X, _GL_W = _legendre_rule(20)
-# bvn's 20-point rule: the positive nodes, descending, and their weights
-_GL_X, _GL_W = -_GL_X[:10], _GL_W[:10]
+_GL_ARC = np.stack([1.0 + _GL_X[:10], 1.0 - _GL_X[:10]], axis=1).ravel()
+_GL_ARC_W = np.repeat(_GL_W[:10], 2)
 
 # |x| beyond this is 0/1 at double precision; clipping avoids inf*0 = nan.
 _XMAX = 37.5
@@ -342,16 +344,16 @@ def norm_cdf(a):
     return _in_order(out, order)
 
 
-def _bvnu_moderate(h, k, r):
+def _bvnu_moderate(h, k, r: float):
     """P(X > h, Y > k) for |r| < 0.925 via the arcsine-transformed rule."""
     hk = h * k
     hs = 0.5 * (h * h + k * k)
     asr = np.arcsin(r)
-    total = np.zeros(np.broadcast(h, k, r).shape)
-    for x, w in zip(_GL_X, _GL_W):
-        for sgn in (-1.0, 1.0):
-            sn = np.sin(0.5 * asr * (1.0 + sgn * x))
-            total += w * np.exp((sn * hk - hs) / (1.0 - sn * sn))
+    # the rule's nodes depend on r alone: one sine each, shaped to broadcast
+    sn = np.sin(0.5 * asr * _GL_ARC).reshape((-1,) + (1,) * hk.ndim)
+    total = np.zeros(hk.shape)
+    for term in _GL_ARC_W.reshape(sn.shape) * np.exp((sn * hk - hs) / (1.0 - sn * sn)):
+        total += term
     return total * asr / (4.0 * np.pi) + norm_cdf(-h) * norm_cdf(-k)
 
 
@@ -382,14 +384,13 @@ def _bvnu_extreme(h, k, r):
             0.0,
         )
         a = a / 2.0
-        for x, w in zip(_GL_X, _GL_W):
-            for sgn in (-1.0, 1.0):
-                xs = (a * (sgn * x + 1.0)) ** 2
-                rs = np.sqrt(1.0 - xs)
-                asr = -(bs / xs + hk) / 2.0
-                sp = 1.0 + c * xs * (1.0 + d * xs)
-                ep = np.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
-                bvn = bvn + np.where(asr > -100.0, a * w * np.exp(asr) * (ep - sp), 0.0)
+        for arc, w in zip(_GL_ARC, _GL_ARC_W):
+            xs = (a * arc) ** 2
+            rs = np.sqrt(1.0 - xs)
+            asr = -(bs / xs + hk) / 2.0
+            sp = 1.0 + c * xs * (1.0 + d * xs)
+            ep = np.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
+            bvn = bvn + np.where(asr > -100.0, a * w * np.exp(asr) * (ep - sp), 0.0)
         bvn = -bvn / (2.0 * np.pi)
 
     pos_part = norm_cdf(-np.maximum(h, k))
@@ -397,36 +398,24 @@ def _bvnu_extreme(h, k, r):
     return np.where(neg, neg_part - bvn, pos_part + bvn)
 
 
-def _bvnu(h, k, r):
-    out = np.empty(np.broadcast(h, k, r).shape)
-    h, k, r = np.broadcast_arrays(h, k, r)
-
-    unit = np.abs(r) >= 1.0
-    if np.any(unit):
-        # r = +1: joint survival is the smaller tail; r = -1: overlap of tails.
-        out[unit] = np.where(
-            r[unit] > 0,
-            norm_cdf(-np.maximum(h[unit], k[unit])),
-            np.maximum(0.0, norm_cdf(-h[unit]) - norm_cdf(k[unit])),
-        )
-    moderate = ~unit & (np.abs(r) < 0.925)
-    if np.any(moderate):
-        out[moderate] = _bvnu_moderate(h[moderate], k[moderate], r[moderate])
-    extreme = ~unit & ~moderate
-    if np.any(extreme):
-        out[extreme] = _bvnu_extreme(h[extreme], k[extreme], r[extreme])
-    return out
-
-
 def bvn_cdf(x, y, rho):
     """P(X <= x, Y <= y) for standard bivariate normal with correlation rho.
 
-    Accepts scalars or broadcastable arrays; returns values clipped to [0, 1].
+    Accepts scalars or broadcastable arrays x, y and a scalar rho; returns
+    values clipped to [0, 1].
     """
-    x = np.clip(np.asarray(x, dtype=float), -_XMAX, _XMAX)
-    y = np.clip(np.asarray(y, dtype=float), -_XMAX, _XMAX)
-    rho = np.asarray(rho, dtype=float)
-    p = _bvnu(-x, -y, rho)
+    # P(X > h, Y > k) at h = -x, k = -y; a scalar stays one
+    h = -np.clip(np.asarray(x, dtype=float), -_XMAX, _XMAX)
+    k = -np.clip(np.asarray(y, dtype=float), -_XMAX, _XMAX)
+    r = float(rho)
+    if r >= 1.0:  # joint survival is the smaller tail
+        p = norm_cdf(-np.maximum(h, k))
+    elif r <= -1.0:  # overlap of tails
+        p = np.maximum(0.0, norm_cdf(-h) - norm_cdf(k))
+    elif abs(r) < 0.925:
+        p = _bvnu_moderate(h, k, r)
+    else:
+        p = _bvnu_extreme(h, k, np.full(np.broadcast(h, k).shape, r))
     if p.ndim == 0:
         return float(min(1.0, max(0.0, p)))
     return np.clip(p, 0.0, 1.0)

@@ -119,15 +119,14 @@ def _on_inner(u, f: Factor, fn):
 
 def _with_margins(u, v, fn):
     """fn(u, v) inside (0, 1)^2; on the edges the copula's exact margins:
-    0 where u or v is 0, the other argument where one of them is 1."""
-    u, v = np.broadcast_arrays(u, v)
-    out = np.zeros(u.shape)
+    0 where u or v is 0, the other argument where one of them is 1.  A scalar
+    u inside (0, 1), as every default profile passes, stays a scalar."""
+    scalar = np.ndim(u) == 0 and 0.0 < u < 1.0
+    if not scalar:
+        u, v = np.broadcast_arrays(u, v)
+    out = np.where((v >= 1.0) & (u > 0.0), u, np.where((u >= 1.0) & (v > 0.0), v, 0.0))
     inner = (u > 0.0) & (v > 0.0) & (u < 1.0) & (v < 1.0)
-    out[inner] = fn(u[inner], v[inner])
-    at_top_u = (u >= 1.0) & (v > 0.0)
-    out[at_top_u] = v[at_top_u]
-    at_top_v = (v >= 1.0) & (u > 0.0)
-    out[at_top_v] = u[at_top_v]
+    out[inner] = fn(u if scalar else u[inner], v[inner])
     return out
 
 
@@ -257,6 +256,10 @@ class Gaussian(Copula):
         s = math.sqrt(1.0 - self.r * self.r)
         return _on_inner(t, f, lambda t, f: norm_cdf(self.r * f.ppf + s * norm_ppf(t)))
 
+    def _level(self, u, w):
+        """The factor level v with C(u | v) = w, for a scalar u and w in (0, 1)."""
+        return norm_cdf((norm_ppf(u) - math.sqrt(1.0 - self.r * self.r) * norm_ppf(w)) / self.r)
+
     def survival(self):
         # the bivariate normal is radially symmetric
         return Gaussian(self.r)
@@ -306,6 +309,11 @@ class Clayton(Copula):
         return _on_inner(t, f, lambda t, f: np.exp(-np.logaddexp(
             -th * f.log + _log_expm1(-th / (th + 1.0) * np.log(t)), 0.0) / th))
 
+    def _level(self, u, w):
+        # C(u | v) = (1 + v^theta (u^-theta - 1))^(-(theta+1)/theta)
+        th = self.theta
+        return np.exp((_log_expm1(-th / (th + 1.0) * np.log(w)) - _log_expm1(-th * np.log(u))) / th)
+
     def survival(self):
         return SurvivalClayton(self.theta)
 
@@ -337,6 +345,9 @@ class SurvivalClayton(Copula):
         # C(u|v) = 1 - C_cl(1-u | 1-v) is continuous and strictly increasing
         # in u, so the generalized inverse reduces to the Clayton one.
         return _on_inner(t, f, lambda t, f: 1.0 - self._base()._inverse_conditional(1.0 - t, f.flip))
+
+    def _level(self, u, w):
+        return 1.0 - self._base()._level(1.0 - u, 1.0 - w)
 
     def survival(self):
         return Clayton(self.theta)

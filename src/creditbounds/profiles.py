@@ -10,11 +10,11 @@ borrower.
 Profiles come in four flavours: the independence line, the comonotone
 kink, copula-backed analytic profiles (G(s) = s - C_hat(1 - pd, s)) and
 step-curve profiles, whose conditional default probability is constant on
-uniform factor cells.  Envelopes (pointwise max / min over a family) are
-represented exactly through their members, bridging with straight
-segments only where the pointwise min fails convexity.  ``envelope``
-takes every decision, down to the member that each piece of the factor
-range follows, from one evaluation of each member's G.
+uniform factor cells.  Envelopes (pointwise max / min of two profiles) are
+represented exactly through their members, split where they cross; the
+pointwise min, which has a concave kink at each crossing, is bridged there
+by the members' common tangent.  ``envelope`` finds both from the members'
+closed forms, by K-section on G_A - G_B and on their conjugates' difference.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 
 from .copulas import CHECK_TOL, Copula, Factor, Gaussian, Clayton, SurvivalClayton, check_si
 from .copulas import _as_open_unit, _as_unit, _scalar_or_array
+from ._normal import norm_cdf
 
 __all__ = [
     "DefaultProfile",
@@ -53,7 +54,7 @@ __all__ = [
     "PROFILE_GRID_N",
 ]
 
-# knots for all envelope / membership checks and for curve export
+# knots of the profile axioms and membership checks and of curve export
 PROFILE_GRID_N = 1001
 
 
@@ -197,6 +198,11 @@ class CopulaProfile(DefaultProfile):
         log, log(1 - t)) computed once per chunk; the threshold 1 - pd stays a scalar."""
         return 1.0 - self.copula.survival()._conditional(1.0 - self.pd, f.clipped)
 
+    def _level(self, m):
+        """The factor levels t in [0, 1] where G'(t) = m, or the end of [0, 1]
+        where the conjugate's sup of m t - G(t) lies for m beyond G'."""
+        return np.clip(self.copula.survival()._level(1.0 - self.pd, 1.0 - m), 0.0, 1.0)
+
     def group_key(self):
         return ("copula", repr(self.copula), self.pd)
 
@@ -251,16 +257,17 @@ class EnvelopeProfile(DefaultProfile):
     ``pieces`` is the member choice that ``envelope`` decided, piece i
     spanning the factor levels from boundaries[i - 1] to boundaries[i].  For
     the pointwise min, ``bridges`` lists the straight segments of the
-    greatest convex minorant wherever the raw min has a concave kink (the
-    raw min is kept when it is empty); inside a bridge the chord slope
-    overrides the member's derivative.
+    greatest convex minorant, the members' common tangent over each concave
+    kink of the raw min, whose slope overrides the member's derivative.  The
+    conditional pd is nondecreasing: it jumps up at a piece boundary of the
+    max and is continuous at both ends of a bridge.
     """
 
     members: tuple
     take: str  # "max" or "min"
     pd: float
     pieces: tuple  # (boundaries, member index per piece)
-    bridges: tuple = field(default_factory=tuple)  # (a, b, g(a), g(b)) segments
+    bridges: tuple = field(default_factory=tuple)  # (a, b, G(a), slope) segments
 
     def __post_init__(self):
         super().__post_init__()
@@ -268,16 +275,11 @@ class EnvelopeProfile(DefaultProfile):
             raise ValueError("take must be 'max' or 'min'")
 
     def _g(self, s):
-        s = np.asarray(s, dtype=float)
         vals = np.stack([m._g(s) for m in self.members])
-        out = np.atleast_1d(vals.max(axis=0) if self.take == "max" else vals.min(axis=0))
-        flat_s = np.atleast_1d(s)
-        for a, b, ga, gb in self.bridges:
-            mask = (flat_s > a) & (flat_s < b)
-            if np.any(mask):
-                chord = ga + (gb - ga) * (flat_s[mask] - a) / (b - a)
-                out[mask] = np.minimum(out[mask], chord)
-        return out.reshape(np.shape(s))
+        out = vals.max(axis=0) if self.take == "max" else vals.min(axis=0)
+        for a, b, ga, slope in self.bridges:
+            out = np.where((s > a) & (s < b), np.minimum(out, ga + slope * (s - a)), out)
+        return out
 
     def _cpd(self, f):
         boundaries, piece_members = self.pieces
@@ -287,14 +289,9 @@ class EnvelopeProfile(DefaultProfile):
             mask = pick == i
             if np.any(mask):
                 out[mask] = m._cpd(f[mask])
-        for a, b, ga, gb in self.bridges:
-            mask = (f.t > a) & (f.t < b)
-            out[mask] = (gb - ga) / (b - a)
+        for a, b, _, slope in self.bridges:
+            out[(f.t > a) & (f.t < b)] = slope
         return out
-
-    def _breakpoints(self):
-        """The piece boundaries and the bridge ends."""
-        return np.concatenate([self.pieces[0], [x for a, b, *_ in self.bridges for x in (a, b)]])
 
     def group_key(self):
         return ("envelope", self.take, self.pd, self.bridges,
@@ -365,68 +362,71 @@ def validate_profile(profile) -> None:
         raise ValueError("G is not convex")
 
 
-def _dominating_member(values: np.ndarray, take: str):
-    """Index of a member attaining the max/min everywhere, or None."""
-    target = values.max(axis=0) if take == "max" else values.min(axis=0)
-    for i in range(values.shape[0]):
-        if np.all(np.abs(values[i] - target) <= 1e-14):
-            return i
-    return None
+# points of the sign scan that brackets the crossings, and of a K-section round;
+# G differences within _TIE_TOL are ties; a bridge end whose conditional pd misses
+# the slope by over _TANGENT_TOL, a tenth of the cell bounds' _PD_SLACK, fails
+_SCAN_N, _SECTION_N, _TIE_TOL, _TANGENT_TOL = 255, 257, 1e-14, 1e-13
 
 
-def _lower_hull_indices(x: np.ndarray, y: np.ndarray) -> list:
-    """Vertex indices of the lower convex hull of the graph points."""
-    hull: list = []
-    for i in range(x.size):
-        while len(hull) >= 2:
-            i0, i1 = hull[-2], hull[-1]
-            cross = (x[i1] - x[i0]) * (y[i] - y[i0]) - (y[i1] - y[i0]) * (x[i] - x[i0])
-            if cross <= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    return hull
+def _narrow(fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K-section of each row's bracket [lo, hi] of a sign change of fn, one fn
+    call per round on ``_SECTION_N`` points of every bracket, down to two
+    neighbouring floats; returns the left ends and their last round's columns."""
+    frac, rows = np.linspace(0.0, 1.0, _SECTION_N), np.arange(lo.size)
+    while True:
+        x = lo[:, None] + (hi - lo)[:, None] * frac
+        x[:, -1] = hi
+        sign = np.sign(fn(x))
+        change = sign[:, 1:] != sign[:, :1]
+        k = np.where(change.any(axis=1), change.argmax(axis=1), _SECTION_N - 2)
+        lo, hi = x[rows, k], x[rows, k + 1]
+        if not np.any(np.nextafter(lo, hi) < hi):
+            return lo, k
 
 
-# smallest slope decrease treated as a real concave kink; fp noise in the
-# analytic profiles stays orders of magnitude below this
-_SLOPE_DROP_TOL = 1e-7
+def _crossings(members: tuple, pd: float, lo: np.ndarray, hi: np.ndarray, low: np.ndarray) -> tuple:
+    """The crossings s* in [lo, hi], where the min turns from member low[i] to
+    low[i + 1]; the bridge (a, b, G_L(a), m) over each, the common tangent
+    p_L(a) = p_R(b) = m of the left and right members, whose conjugates
+    L*(m) = m a - G_L(a) and R*(m) agree there; and the largest gap
+    G(s*) - (G_L(a) + m (s* - a)).  L* - R* changes sign between p_R(lo) and
+    p_L(hi), so K-section in log m finds m in the crossing's rounds."""
+    named = f"the envelope at pd {pd:g} of {members[0]!r} and {members[1]!r}"
+    if not all(isinstance(m, CopulaProfile) for m in members):
+        raise ValueError(f"{named} crosses, and crossing members must be copula profiles")
+    n, left, cols, last = lo.size, low[:-1], np.arange(lo.size), {}
 
+    def gaps(x):  # G_0 - G_1 at the crossing rows, L* - R* up to sign at the others
+        m = np.exp(x[n:])
+        level = np.stack([member._level(m) for member in members])
+        g = np.stack([member._g(np.concatenate([x[:n], v])) for member, v in zip(members, level)])
+        last.update(level=level, g=g)
+        return np.concatenate([g[0, :n] - g[1, :n], m * (level[0] - level[1]) - g[0, n:] + g[1, n:]])
 
-def _pieces(s: np.ndarray, values: np.ndarray, take: str) -> tuple:
-    """(boundaries, member index per piece) of the members' pointwise max or
-    min, located between neighbouring points of the grid s."""
-    pick = values.argmax(axis=0) if take == "max" else values.argmin(axis=0)
-    change = np.flatnonzero(np.diff(pick))
-    return 0.5 * (s[change] + s[change + 1]), np.concatenate([pick[change], [pick[-1]]])
-
-
-def _convex_minorant_bridges(s: np.ndarray, raw: np.ndarray) -> tuple:
-    """Chords of the greatest convex minorant of the points (s, raw) over each
-    stretch where raw rises above it, with a warning."""
-    hull = _lower_hull_indices(s, raw)
-    bridges = []
-    for a, b in zip(hull[:-1], hull[1:]):
-        if b - a > 1:
-            chord = raw[a] + (raw[b] - raw[a]) * (s[a + 1:b] - s[a]) / (s[b] - s[a])
-            if np.any(raw[a + 1:b] > chord + 1e-13):
-                bridges.append((float(s[a]), float(s[b]), float(raw[a]), float(raw[b])))
-    warnings.warn(
-        "pointwise min of the profile family is not convex; "
-        f"replaced by its greatest convex minorant across {len(bridges)} segment(s)",
-        stacklevel=3,
-    )
-    return tuple(bridges)
+    log_p = np.log([m._cpd(Factor(np.concatenate([lo, hi]))) for m in members])
+    x, k = _narrow(gaps, np.concatenate([lo, log_p[1 - left, cols]]),
+                   np.concatenate([hi, log_p[left, n + cols]]))
+    # the last round evaluated every row's final point: G there, and the levels
+    cross, slope = x[:n], np.exp(x[n:])
+    level, g = last["level"][:, cols, k[n:]], last["g"][:, np.arange(2 * n), k]
+    residual = np.max([np.abs(m._cpd(Factor(v)) - slope) for m, v in zip(members, level)])
+    a, b, ga = level[left, cols], level[1 - left, cols], g[left, n + cols]
+    if not residual <= _TANGENT_TOL:  # NaN included
+        raise ValueError(f"a bridge of {named} misses tangency by {residual:.3e}")
+    if np.any(np.diff(np.concatenate([[0.0], np.column_stack([a, b]).ravel(), [1.0]])) < 0.0):
+        raise ValueError(f"bridges of {named} would overlap: {list(zip(a, b))}")
+    gap = float(np.max(g[0, :n] - (ga + slope * (cross - a))))
+    return cross, tuple(zip(a.tolist(), b.tolist(), ga.tolist(), slope.tolist())), gap
 
 
 def envelope(profiles) -> ProfileEnvelope:
-    """Lower/upper default integral bounds of a non-empty profile family.
+    """Lower/upper default integral bounds of a family of one or two profiles.
 
-    All members must share the same default probability.  Whenever one
-    member attains the pointwise max (min) everywhere it is returned
-    directly; otherwise an exact envelope object backed by the members is
-    built.  A non-convex pointwise min is repaired to its greatest convex
+    Both members must share the same default probability.  Where one member
+    attains the pointwise max (min) everywhere, up to ties, it is returned
+    directly.  Otherwise the members, which must be copula profiles, cross:
+    exact envelopes backed by them split at the crossings, each a concave
+    kink of the pointwise min, which is repaired to its greatest convex
     minorant with a warning.
     """
     members = tuple(profiles)
@@ -437,32 +437,31 @@ def envelope(profiles) -> ProfileEnvelope:
         raise ValueError("all profiles in a family must share the same default probability")
     if len(members) == 1:
         return ProfileEnvelope(members[0], members[0])
+    if len(members) > 2:
+        raise ValueError(f"an envelope at pd {pd:g} takes one or two members, got {members!r}")
 
-    # one evaluation of each member on three grids: the profile grid (max
-    # dominance; the repair's hull, so that the repaired values are convex
-    # exactly where the axioms are checked), a four times finer grid (min
-    # dominance and convexity) and as many cell midpoints (the pieces: all
-    # members tie at s = 0 and s = 1, which would corrupt the end pieces)
-    n = 4 * PROFILE_GRID_N
-    s, fine = np.linspace(0.0, 1.0, PROFILE_GRID_N), np.linspace(0.0, 1.0, n)
-    mid = (np.arange(n) + 0.5) / n
-    values = np.stack([m._g(np.concatenate([s, fine, mid])) for m in members])
-    on_s, on_fine, on_mid = np.split(values, [s.size, s.size + n], axis=1)
-
-    idx = _dominating_member(on_s, "max")
-    lower = (members[idx] if idx is not None
-             else EnvelopeProfile(members, "max", pd, _pieces(mid, on_mid, "max")))
-    idx = _dominating_member(on_fine, "min")
-    if idx is not None:
-        upper = members[idx]
-    else:
-        slopes = np.diff(on_fine.min(axis=0)) * (n - 1)
-        convex = np.all(np.diff(slopes) >= -_SLOPE_DROP_TOL)
-        bridges = () if convex else _convex_minorant_bridges(s, on_s.min(axis=0))
-        upper = EnvelopeProfile(members, "min", pd, _pieces(mid, on_mid, "min"), bridges)
-    validate_profile(lower)
-    validate_profile(upper)
-    return ProfileEnvelope(lower, upper)
+    # evenly spaced in norm_ppf(s) on [-8, 8]: crossings come within 1e-3 of
+    # s = 0 (at pd 1e-6) and within 1e-6 of s = 1 (at pd 0.999)
+    s = norm_cdf(np.linspace(-8.0, 8.0, _SCAN_N))
+    d = members[0]._g(s) - members[1]._g(s)
+    sign = np.where(np.abs(d) <= _TIE_TOL, 0.0, np.sign(d))
+    if not np.any(sign < 0.0) or not np.any(sign > 0.0):
+        top = int(np.any(sign < 0.0))  # on ties throughout, member 0 is both sides
+        return ProfileEnvelope(members[top], members[1 - top if np.any(sign) else 0])
+    at, side = s[sign != 0.0], sign[sign != 0.0]
+    flip = np.flatnonzero(side[1:] != side[:-1])
+    # member 0 lies above member 1 where d > 0: the max's member per piece
+    high = (np.arange(flip.size + 1) + int(side[0] < 0.0)) % 2
+    cross, bridges, gap = _crossings(members, pd, at[flip], at[flip + 1], 1 - high)
+    warnings.warn(f"pointwise min of the profile family at pd {pd:g} is not convex; replaced by its "
+                  f"greatest convex minorant across {len(bridges)} bridge(s) ("
+                  + "; ".join(f"a = {a:.9g}, b = {b:.9g}, slope = {m:.9g}" for a, b, _, m in bridges)
+                  + f"); largest gap to the raw min {gap:.3e}", stacklevel=2)
+    env = ProfileEnvelope(EnvelopeProfile(members, "max", pd, (cross, high)),
+                          EnvelopeProfile(members, "min", pd, (cross, 1 - high), bridges))
+    validate_profile(env.lower)
+    validate_profile(env.upper)
+    return env
 
 
 def check_membership(profile, env: ProfileEnvelope) -> bool:

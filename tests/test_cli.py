@@ -118,6 +118,8 @@ class TestBounds:
         clamp = [m for m in messages if "Venezuela" in m and "clamped" in m]
         repair = [m for m in messages if "greatest convex minorant" in m]
         assert clamp and repair
+        # one repair per crossing Gauss-Clayton pair, each naming its pd and bridge
+        assert len(repair) == 13 and all("at pd " in m and "slope = " in m for m in repair)
         assert all(w["category"] == "UserWarning" and w["count"] >= 1 for w in fired)
         # every recorded warning is still shown to the caller
         assert sorted(messages) == sorted({str(w.message) for w in shown})

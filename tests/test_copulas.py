@@ -194,6 +194,32 @@ class TestInverseConditional:
         assert np.max(np.abs(cop.conditional(u, v) - t)) < tol
 
 
+class TestLevel:
+    """``_level(u, w)`` is the factor level v with C(u | v) = w."""
+
+    # the conditional carries w to full relative precision, or 1 - w for the
+    # survival Clayton, whose conditional is one minus a Clayton conditional
+    @pytest.mark.parametrize(
+        "cop,complement",
+        [(Gaussian(0.1), False), (Gaussian(0.405), False), (Gaussian(0.9), False),
+         (Clayton(0.05), False), (Clayton(0.723), False), (Clayton(3.0), False),
+         (SurvivalClayton(0.723), True), (SurvivalClayton(3.0), True)],
+        ids=repr,
+    )
+    def test_round_trips_through_the_conditional(self, cop, complement):
+        tails = np.geomspace(1e-12, 0.5, 60)
+        w = np.concatenate([tails, 1.0 - tails])
+        for u in np.concatenate([np.geomspace(1e-9, 0.5, 12), 1.0 - np.geomspace(1e-9, 0.5, 12)]):
+            v = cop._level(u, w)
+            # w outside the range of v -> C(u | v) has no level in (0, 1), and
+            # beyond v = 0.999 a double holds too few bits of 1 - v to pin w
+            inside = (v >= 1e-12) & (v <= 0.999)
+            back = cop._conditional(u, Factor(v[inside]))
+            want = w[inside]
+            err = np.abs(back - want) / (1.0 - want if complement else want)
+            assert np.all(err <= 1e-12), (u, want[np.argmax(err)], err.max())
+
+
 class TestSurvival:
     def test_clayton_pair(self):
         assert Clayton(0.723).survival() == SurvivalClayton(0.723)

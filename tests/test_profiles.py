@@ -19,6 +19,7 @@ from creditbounds.copulas import (
     Gaussian,
     Independence,
     SurvivalClayton,
+    clayton_theta_matching_gaussian,
     is_pointwise_leq,
 )
 from creditbounds.portfolio import Borrower, DeterministicLgd, load_scenario
@@ -259,28 +260,37 @@ def _hybrid_pair():
     return gaussian_profile(0.1641, 0.02), clayton_profile(0.7232, 0.02)
 
 
-def _scanned_pieces(env: EnvelopeProfile) -> tuple:
-    """Reference member choice, scanned directly: the arg max/min of the
-    members over 4,004 cell midpoints."""
-    n = 4 * 1001
-    s = (np.arange(n) + 0.5) / n
-    vals = np.stack([m._g(s) for m in env.members])
-    pick = vals.argmax(axis=0) if env.take == "max" else vals.argmin(axis=0)
-    change = np.flatnonzero(np.diff(pick))
-    return 0.5 * (s[change] + s[change + 1]), np.concatenate([pick[change], [pick[-1]]])
+def _kendall_pair(pd, corr):
+    """The Gaussian profile and the Clayton profile of the same Kendall's tau."""
+    return gaussian_profile(corr, pd), clayton_profile(clayton_theta_matching_gaussian(corr), pd)
 
 
-def _assert_scanned_pieces(env: EnvelopeProfile) -> None:
-    (boundaries, members), (want_b, want_m) = env.pieces, _scanned_pieces(env)
-    assert boundaries.dtype == want_b.dtype and boundaries.tobytes() == want_b.tobytes()
-    assert members.dtype == want_m.dtype and members.tobytes() == want_m.tobytes()
+def _quiet_envelope(members):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return envelope(members)
+
+
+def _gauss_clayton_bounds(fixture):
+    """{borrower name: (lower, upper)} of a fixture's distinct Gauss-Clayton
+    borrowers, and the convex-minorant repair warnings that building them fired."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scenario = load_scenario(FIXTURES / fixture)
+        spec = MODELS["gauss_clayton"]
+        firsts, _ = spec.shared(scenario.borrowers, scenario.point_copulas)
+        bounds = {b.name: spec.bounds(b, c) for b, c in firsts.values()}
+    return bounds, [str(w.message) for w in caught if "greatest convex minorant" in str(w.message)]
 
 
 class TestEnvelopeDecidedWhenBuilt:
-    """``envelope`` takes every decision from one evaluation of the members;
-    the profiles it builds never evaluate a member's G to find their pieces."""
+    """``envelope`` takes every decision when it is built; the profiles it
+    builds never evaluate a member's G for their conditional pd."""
 
-    def test_members_are_evaluated_once_and_never_for_the_conditional(self, monkeypatch):
+    def test_members_are_never_evaluated_for_the_conditional(self, monkeypatch):
+        ga, cl = _hybrid_pair()
+        with pytest.warns(UserWarning, match="convex minorant"):
+            env = envelope([ga, cl])
         calls = collections.Counter()
         g = CopulaProfile._g
 
@@ -288,54 +298,129 @@ class TestEnvelopeDecidedWhenBuilt:
             calls[id(self)] += 1
             return g(self, s)
 
-        seen = []
-        validate = profiles.validate_profile
-
-        def recording(profile):
-            seen.append(dict(calls))
-            validate(profile)
-
         monkeypatch.setattr(CopulaProfile, "_g", counting)
-        monkeypatch.setattr(profiles, "validate_profile", recording)
-        ga, cl = _hybrid_pair()
-        with pytest.warns(UserWarning, match="convex minorant"):
-            env = envelope([ga, cl])
-        assert seen[0] == {id(ga): 1, id(cl): 1}
-        calls.clear()
         for side in (env.lower, env.upper):
             assert isinstance(side, EnvelopeProfile)
             side._cell_bounds()
-            side._breakpoints()
             side.conditional_pd(np.linspace(0.001, 0.999, 999))
         assert not calls
 
-    def test_pieces_match_the_midpoint_scan(self):
-        with pytest.warns(UserWarning, match="convex minorant"):
-            env = envelope(_hybrid_pair())
-        for side in (env.lower, env.upper):
-            _assert_scanned_pieces(side)
-
-    def test_idb_scenario1_pieces_and_repairs(self):
-        with pytest.warns(UserWarning, match="clamped"):
-            scenario = load_scenario(FIXTURES / "idb_scenario1.json")
-        spec = MODELS["gauss_clayton"]
-        firsts, _ = spec.shared(scenario.borrowers, scenario.point_copulas)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            bounds = {b.name: spec.bounds(b, c) for b, c in firsts.values()}
-        repairs = [w for w in caught if "greatest convex minorant" in str(w.message)]
-        assert len(repairs) == 11
+    def test_idb_scenario1_every_crossing_is_bridged(self):
+        bounds, repairs = _gauss_clayton_bounds("idb_scenario1.json")
+        assert len(bounds) == 14 and len(repairs) == 13
         envelopes = [p for pair in bounds.values() for p in pair if isinstance(p, EnvelopeProfile)]
         assert len(envelopes) == 26
-        for env in envelopes:
-            _assert_scanned_pieces(env)
         uppers = [up for _, up in bounds.values() if isinstance(up, EnvelopeProfile)]
-        assert sum(bool(up.bridges) for up in uppers) == 11
-        # the raw min of these two is convex on the linspace; the midpoints
-        # would find a bridge for Uruguay, so convexity must not be read there
+        assert all(len(up.bridges) == 1 == up.pieces[0].size for up in uppers)
+        # the fixture's smallest kinks: slope drops of 7.9e-9 and 1.4e-7
         for name in ("Chile", "Uruguay"):
-            upper = bounds[name][1]
-            assert isinstance(upper, EnvelopeProfile) and upper.bridges == ()
+            assert bounds[name][1].bridges
+
+    def test_two_crossings_get_two_bridges(self):
+        with pytest.warns(UserWarning, match="across 2 bridge"):
+            env = envelope(_kendall_pair(0.62, 0.9))
+        for side in (env.lower, env.upper):
+            assert side.pieces[0].size == 2
+            assert list(side.pieces[1]) == ([1, 0, 1] if side.take == "max" else [0, 1, 0])
+        (a1, b1, *_), (a2, b2, *_) = env.upper.bridges
+        assert 0.0 < a1 < env.upper.pieces[0][0] < b1 < a2 < env.upper.pieces[0][1] < b2 < 1.0
+
+    @pytest.mark.parametrize("fixture", ["scenario1.json", "scenario2.json",
+                                         "idb_scenario1.json", "idb_scenario2.json"])
+    def test_table_envelopes_bound_every_cell(self, fixture):
+        bounds, _ = _gauss_clayton_bounds(fixture)
+        envelopes = [p for pair in bounds.values() for p in pair if isinstance(p, EnvelopeProfile)]
+        assert envelopes
+        for env in envelopes:
+            lo, hi = env._cell_bounds()
+            assert np.all(np.isfinite(hi))
+
+
+class TestExactEnvelope:
+    """The envelope of a Gaussian/Clayton pair against the members' closed forms."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pd=st.floats(1e-4, 0.99), corr=st.floats(0.01, 0.9))
+    def test_greatest_convex_minorant_and_raw_max(self, pd, corr):
+        ga, cl = _kendall_pair(pd, corr)
+        env = _quiet_envelope([ga, cl])
+        s = np.linspace(0.0, 1.0, 10_001)
+        g = np.stack([ga._g(s), cl._g(s)])
+        raw_min, raw_max = g.min(axis=0), g.max(axis=0)
+        upper = env.upper._g(s)
+        validate_profile(env.lower)
+        validate_profile(env.upper)
+        # a member that dominates up to ties is each side itself
+        tie = profiles._TIE_TOL
+        assert np.all(np.abs(env.lower._g(s) - raw_max) <= tie)
+        if not isinstance(env.upper, EnvelopeProfile):
+            assert np.all(np.abs(upper - raw_min) <= tie)
+            return
+        assert np.array_equal(env.lower._g(s), raw_max)
+        assert np.all(upper <= raw_min)
+        bridged = np.zeros(s.size, dtype=bool)
+        for a, b, ga_, slope in env.upper.bridges:
+            bridged |= (s > a) & (s < b)
+            ends = Factor(np.array([a, b]))
+            pa, pb = (m._pd_at(ends) for m in env.upper.members)
+            # tangent to one member at a and to the other at b, and the line
+            # meets the members' G at both ends
+            assert min(abs(pa[0] - slope), abs(pb[0] - slope)) <= profiles._TANGENT_TOL
+            assert min(abs(pa[1] - slope), abs(pb[1] - slope)) <= profiles._TANGENT_TOL
+            gb = min(m._g(np.array([b]))[0] for m in env.upper.members)
+            assert ga_ == min(m._g(np.array([a]))[0] for m in env.upper.members)
+            assert abs(ga_ + slope * (b - a) - gb) <= 1e-15
+        assert np.array_equal(upper[~bridged], raw_min[~bridged])
+        # the pieces follow the members' crossings: the conditional pd is the
+        # derivative of the raw max, and of the raw min outside the bridges
+        t = np.linspace(1e-3, 1.0 - 1e-3, 997)
+        g_t = np.stack([ga._g(t), cl._g(t)])
+        near = np.any(np.abs(t[:, None] - env.upper.pieces[0][None, :]) < 1e-9, axis=1)
+        near |= np.abs(g_t[0] - g_t[1]) <= tie
+        p_t = np.stack([ga.conditional_pd(t), cl.conditional_pd(t)])
+        cols = np.arange(t.size)
+        top, bottom = g_t.argmax(axis=0), g_t.argmin(axis=0)
+        assert np.array_equal(env.lower.conditional_pd(t)[~near], p_t[top, cols][~near])
+        outside = ~near & ~np.any([(t > a) & (t < b) for a, b, *_ in env.upper.bridges], axis=0)
+        assert np.array_equal(env.upper.conditional_pd(t)[outside], p_t[bottom, cols][outside])
+
+    def test_repair_warning_names_the_bridges_and_the_gap(self):
+        with pytest.warns(UserWarning) as shown:
+            env = envelope(_hybrid_pair())
+        (message,) = [str(w.message) for w in shown]
+        ((a, b, ga_, slope),) = env.upper.bridges
+        assert "is not convex" in message and "greatest convex minorant" in message
+        assert "pd 0.02" in message and f"a = {a:.9g}, b = {b:.9g}, slope = {slope:.9g}" in message
+        s_star = env.upper.pieces[0][0]
+        gap = env.upper.members[0]._g(np.array([s_star]))[0] - (ga_ + slope * (s_star - a))
+        assert f"largest gap to the raw min {gap:.3e}" in message
+
+    def test_more_than_two_members_are_refused(self):
+        with pytest.raises(ValueError, match="one or two members"):
+            envelope([*_hybrid_pair(), gaussian_profile(0.2, 0.02)])
+
+    def test_crossing_members_must_be_copula_profiles(self):
+        _, cl = _hybrid_pair()
+        # the Clayton member as a step curve on 4,096 cells still crosses the Gaussian
+        steps = GridProfile(np.diff(cl._g(np.linspace(0.0, 1.0, 4097))) * 4096)
+        with pytest.raises(ValueError, match=r"(?s)pd 0.02 of CopulaProfile.*GridProfile.*copula profiles"):
+            envelope([gaussian_profile(0.1641, steps.pd), steps])
+        # a pair that does not cross needs no closed form
+        env = envelope([IndependentProfile(steps.pd), steps])
+        assert env.upper is steps
+
+    def test_a_missed_tangency_fails(self, monkeypatch):
+        level = CopulaProfile._level
+        monkeypatch.setattr(CopulaProfile, "_level", lambda self, m: level(self, m) * (1.0 + 1e-6))
+        with pytest.raises(ValueError, match="pd 0.02 .* misses tangency"):
+            _quiet_envelope(_hybrid_pair())
+
+    def test_overlapping_bridges_fail(self, monkeypatch):
+        level = CopulaProfile._level
+        monkeypatch.setattr(profiles, "_TANGENT_TOL", np.inf)
+        monkeypatch.setattr(CopulaProfile, "_level", lambda self, m: 1.0 - level(self, m))
+        with pytest.raises(ValueError, match="pd 0.02 .* would overlap"):
+            _quiet_envelope(_hybrid_pair())
 
 
 class TestRearrangement:

@@ -392,9 +392,11 @@ class TestDeferredBands:
     @staticmethod
     def _mixed():
         """Deterministic and beta singletons on cell bounds, a pooled group of
-        three, an independent singleton, comonotone members, and pooled
-        independent and Gaussian groups large enough for numpy's BTPE
-        binomial on both sides of p = 0.5."""
+        three, an independent singleton, a deterministic singleton whose pd
+        decreases over half the factor range (its band draws reach every
+        chunk), comonotone members, and pooled independent and Gaussian
+        groups large enough for numpy's BTPE binomial on both sides of
+        p = 0.5."""
         det, beta = DeterministicLgd(0.45), BetaLgd(0.45, 0.2)
         specs = [
             ("gaussian", 0, 0.02, det), ("clayton", 1, 0.3, det), ("gauss_clayton", 1, 0.05, det),
@@ -410,6 +412,9 @@ class TestDeferredBands:
         profiles += [MODELS["gaussian"].bounds(pool, None)[1]] * 3
         borrowers.append(Borrower("indep", 0.1, 0.07, det, (0.1, 0.3), 0.2))
         profiles.append(IndependentProfile(0.1))
+        dip = GridProfile(0.3 + 0.25 * np.sin(np.linspace(0.0, 2.0 * np.pi, 1000)))
+        borrowers.append(Borrower("dip", dip.pd, 0.055, det, (0.1, 0.3), 0.2))
+        profiles.append(dip)
         for i, lgd in enumerate([det, det, beta]):
             borrowers.append(Borrower(f"c{i}", 0.03, 0.02 + 0.01 * i, lgd, (0.1, 0.3), 0.2))
             profiles.append(ComonotoneProfile(0.03))
@@ -898,8 +903,9 @@ class TestGaussLegendre:
 
     def test_bvn_takes_the_positive_half_of_the_20_point_rule(self):
         x, w = np.polynomial.legendre.leggauss(20)
-        assert np.abs(_normal._GL_X - x[:9:-1]).max() <= 1e-14
-        assert np.abs(_normal._GL_W - w[:9:-1]).max() <= 1e-14
+        x, w = x[:9:-1], w[:9:-1]  # the positive nodes, descending
+        assert np.abs(_normal._GL_ARC - np.stack([1.0 - x, 1.0 + x], axis=1).ravel()).max() <= 1e-14
+        assert np.abs(_normal._GL_ARC_W - np.repeat(w, 2)).max() <= 1e-14
 
     def test_4096_nodes_against_mpmath(self):
         # leggauss(4096) solves a 4096 x 4096 eigenproblem, and its end
